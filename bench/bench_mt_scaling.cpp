@@ -25,15 +25,11 @@
 ///    coarse lock serializes everything.
 ///
 /// 3. *Thread cache* — the sharded configuration with the per-thread
-///    cache tier off versus on (DIEHARD_TCACHE semantics, K=32) versus on
-///    with adaptive sizing (DIEHARD_TCACHE_ADAPT, K starting at 32 and
-///    moving per class with traffic). With the cache, the steady-state
-///    malloc/free is a TLS pop/push and partition locks are only touched
-///    once per K-slot batch, so this measures the lock-free fast path's
-///    win over per-operation locking — visible even single-threaded
-///    (fewer lock round-trips), growing with contention — and what
-///    adaptation adds on top (bigger batches on hot classes, so fewer
-///    refills).
+///    cache tier off versus on (DIEHARD_TCACHE semantics, K=32). With the
+///    cache, the steady-state malloc/free is a TLS pop/push and partition
+///    locks are only touched once per K-slot batch, so this measures the
+///    lock-free fast path's win over per-operation locking — visible even
+///    single-threaded (fewer lock round-trips), growing with contention.
 ///
 /// 4. *Epoch sweeper* — the cached sharded configuration with the
 ///    background maintenance thread (DIEHARD_SWEEPER semantics, 25 ms
@@ -110,7 +106,6 @@ struct RunConfig {
   bool PartitionLocks;
   bool PerThreadClasses;     ///< Thread t churns size class t % NumClasses.
   size_t ThreadCacheSlots = 0; ///< K for the thread-cache tier (0 = off).
-  bool AdaptiveCache = false;  ///< Adaptive per-class K (needs K > 0).
   bool Sweeper = false;        ///< Background epoch sweeper thread.
   uint32_t SweepIntervalMs = 25; ///< Sweeper pass interval when enabled.
 };
@@ -124,7 +119,6 @@ double measure(const RunConfig &Config, int Threads, long OpsPerThread) {
   Options.NumShards = Config.Shards;
   Options.PartitionLocking = Config.PartitionLocks;
   Options.ThreadCacheSlots = Config.ThreadCacheSlots;
-  Options.ThreadCacheAdaptive = Config.AdaptiveCache;
   Options.Sweeper = Config.Sweeper;
   Options.SweepIntervalMs = Config.SweepIntervalMs;
   ShardedHeap Heap(Options);
@@ -243,39 +237,32 @@ int main(int argc, char **argv) {
   std::printf("partition locks vs coarse lock at 8 threads: %.2fx\n",
               PartitionedAt8 / CoarseAt8);
 
-  // Scenario 3: the thread-cache tier off vs on (K=32) vs adaptive over
-  // the sharded configuration — the lock-free fast path's win over per-op
-  // locking, and adaptation's win over a fixed K.
+  // Scenario 3: the thread-cache tier off vs on (K=32) over the sharded
+  // configuration — the lock-free fast path's win over per-op locking.
   std::printf("\nthread cache (%zu shards, random sizes, K=32)\n", Cpus);
   diehard::bench::printRule();
-  std::printf("%8s  %14s  %13s  %13s  %8s\n", "threads", "cache-off ops/s",
-              "cache-on ops/s", "adaptive ops/s", "on/off");
+  std::printf("%8s  %14s  %13s  %8s\n", "threads", "cache-off ops/s",
+              "cache-on ops/s", "on/off");
   diehard::bench::printRule();
 
   const RunConfig CacheOff{Cpus, true, false, 0};
   const RunConfig CacheOn{Cpus, true, false, 32};
-  const RunConfig CacheAdaptive{Cpus, true, false, 32, true};
-  double OffAt8 = 0, OnAt8 = 0, AdaptiveAt8 = 0;
+  double OffAt8 = 0, OnAt8 = 0;
   for (int Threads : ThreadCounts) {
     double Off = measure(CacheOff, Threads, OpsPerThread);
     double On = measure(CacheOn, Threads, OpsPerThread);
-    double Adp = measure(CacheAdaptive, Threads, OpsPerThread);
     recordJson("tcache", "cache_off", Threads, Off);
     recordJson("tcache", "cache_on", Threads, On);
-    recordJson("tcache", "cache_adaptive", Threads, Adp);
-    std::printf("%8d  %14.0f  %13.0f  %13.0f  %7.2fx\n", Threads, Off, On,
-                Adp, On / Off);
+    std::printf("%8d  %14.0f  %13.0f  %7.2fx\n", Threads, Off, On,
+                On / Off);
     if (Threads == 8) {
       OffAt8 = Off;
       OnAt8 = On;
-      AdaptiveAt8 = Adp;
     }
   }
   diehard::bench::printRule();
   std::printf("thread cache on vs off at 8 threads: %.2fx\n",
               OnAt8 / OffAt8);
-  std::printf("adaptive vs fixed K at 8 threads: %.2fx\n",
-              AdaptiveAt8 / OnAt8);
 
   // Scenario 4: the background epoch sweeper off vs on over the cached
   // sharded configuration. The sweeper periodically drains sidecars, ages
@@ -283,8 +270,8 @@ int main(int argc, char **argv) {
   // churn storm every thread stays active, so its cost here is pure
   // overhead — the interesting result is how close on/off stays to 1.0x
   // (the maintenance thread must not tax the fast path).
-  const RunConfig SweeperOff{Cpus, true, false, 32, false, false, 25};
-  const RunConfig SweeperOn{Cpus, true, false, 32, false, true, 25};
+  const RunConfig SweeperOff{Cpus, true, false, 32, false, 25};
+  const RunConfig SweeperOn{Cpus, true, false, 32, true, 25};
   std::printf("\nepoch sweeper (%zu shards, K=32, %u ms passes)\n", Cpus,
               SweeperOn.SweepIntervalMs);
   diehard::bench::printRule();

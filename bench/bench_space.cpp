@@ -28,13 +28,7 @@
 /// that pins one live object in every size-class partition (so no
 /// partition is ever fully empty and only *partial* page return can shed
 /// anything), bursts, frees, and idles — across the page-return policies
-/// (off / dontneed / free) and the sweeper switch. Under MADV_FREE the
-/// kernel keeps lazily-freed pages resident until pressure, so the
-/// matrix reports effective RSS = resident - LazyFree (from
-/// /proc/self/smaps_rollup) alongside the raw number — and then applies
-/// real pressure (MADV_PAGEOUT over the heap's anonymous mappings) and
-/// samples once more, so the `free` row's LazyFree parking demonstrably
-/// converges to the effective number instead of being taken on faith.
+/// (off / dontneed) and the sweeper switch.
 ///
 /// A fourth table is the meshing scenario: a 64-byte churn that strands
 /// one or two live objects on nearly every data page of the partition.
@@ -162,12 +156,7 @@ struct ChurnSample {
   bool Sweeper = true;
   long Start = 0;        ///< KB, heap mapped and partitions pinned.
   long Burst = 0;        ///< KB, at the top of the churn burst.
-  long Idle = 0;         ///< KB, after the idle tail (raw resident).
-  long IdleLazyFree = 0; ///< KB of that still resident only as LazyFree.
-  long Pressure = 0;     ///< KB, after MADV_PAGEOUT reclaims LazyFree.
-  /// The number the matrix compares: what the process actually holds once
-  /// lazily-freed pages are discounted.
-  long effectiveIdle() const { return Idle - IdleLazyFree; }
+  long Idle = 0;         ///< KB, after the idle tail.
 };
 
 /// Runs the pinned-partition churn scenario in a forked child: one live
@@ -228,13 +217,6 @@ void churnTimeline(ChurnSample &S) {
         Heap.deallocate(P);
       ::usleep(200 * 1000); // Idle tail: twenty sweep epochs.
       S.Idle = currentRssKb();
-      S.IdleLazyFree = lazyFreeKb();
-      // Memory-pressure phase: page out the heap's anonymous mappings so
-      // MADV_FREE'd pages are actually reclaimed, not just flagged. The
-      // `free` row's raw idle number converges to its effective number
-      // here; the eager policies barely move.
-      pageOutAnonymous();
-      S.Pressure = currentRssKb();
       for (void *P : Pins)
         Heap.deallocate(P);
     }
@@ -430,38 +412,29 @@ int main() {
   std::printf("\npartial page return under churn "
               "(one pinned object per partition)\n");
   bench::printRule();
-  std::printf("%-18s %8s %8s %8s %8s %9s %8s\n", "config", "start KB",
-              "burst KB", "idle KB", "lazyfree", "eff. idle", "pressure");
+  std::printf("%-18s %8s %8s %8s\n", "config", "start KB", "burst KB",
+              "idle KB");
   bench::printRule();
   ChurnSample Matrix[] = {
       {"return-off", PageReturnPolicy::Off, true},
       {"dontneed-nosweep", PageReturnPolicy::DontNeed, false},
       {"dontneed", PageReturnPolicy::DontNeed, true},
-      {"free", PageReturnPolicy::Free, true},
   };
   for (ChurnSample &S : Matrix) {
     churnTimeline(S);
-    std::printf("%-18s %8ld %8ld %8ld %8ld %9ld %8ld\n", S.Name, S.Start,
-                S.Burst, S.Idle, S.IdleLazyFree, S.effectiveIdle(),
-                S.Pressure);
-    recordJson("churn_idle", S.Name, S.effectiveIdle());
-    recordJson("churn_pressure", S.Name, S.Pressure);
+    std::printf("%-18s %8ld %8ld %8ld\n", S.Name, S.Start, S.Burst,
+                S.Idle);
+    recordJson("churn_idle", S.Name, S.Idle);
   }
   bench::printRule();
   const ChurnSample &ReturnOff = Matrix[0];
   const ChurnSample &DontNeed = Matrix[2];
-  double Shed =
-      ReturnOff.effectiveIdle() > 0
-          ? 100.0 * (ReturnOff.effectiveIdle() - DontNeed.effectiveIdle()) /
-                ReturnOff.effectiveIdle()
-          : 0.0;
+  double Shed = ReturnOff.Idle > 0
+                    ? 100.0 * (ReturnOff.Idle - DontNeed.Idle) / ReturnOff.Idle
+                    : 0.0;
   std::printf("steady-state idle RSS with dontneed+sweeper is %.0f%% below\n"
               "page-return-off (span scanner returns object-free pages of\n"
-              "partitions that are still live; MADV_FREE parks them as\n"
-              "LazyFree until memory pressure). The pressure column is RSS\n"
-              "after MADV_PAGEOUT over the heap mappings: the free row's\n"
-              "raw idle number converges to its effective number once the\n"
-              "kernel actually reclaims the LazyFree pages.\n",
+              "partitions that are still live).\n",
               Shed);
 
   // Meshing: strand 1-2 live 64 B objects on nearly every data page, so

@@ -126,9 +126,6 @@ bool RandomizedPartition::init(void *RegionBase, size_t ObjectBytes,
   RemoteDrained.store(0, std::memory_order_relaxed);
   if (!SidecarLinks.map(NumSlots * sizeof(uint32_t)))
     return false;
-  // Link words are probed on every remote free and drain — like the bitmap,
-  // always-resident metadata worth huge-page backing under DIEHARD_THP.
-  SidecarLinks.adviseHugePages();
 
   // Page-return geometry: only pages lying entirely inside the data region
   // are ever released. Partition bases are 4K-aligned in practice, making

@@ -76,18 +76,6 @@
 /// keep the locked path (the home locks are the cheap, mostly-uncontended
 /// ones).
 ///
-/// Adaptive cache sizing (ThreadCacheAdaptive / DIEHARD_TCACHE_ADAPT):
-/// each cache's per-class batch size K starts at ThreadCacheSlots and
-/// adapts to the thread's traffic — repeated refills of a class within one
-/// sweep window double its K toward a cap (8x the base, bounded by
-/// ThreadCache::MaxSlotsPerClass); classes idle across a whole window have
-/// K halved (floor: a quarter of the base) and any cached surplus above
-/// the new K is returned to the home partition via reclaimSlots, shrinking
-/// the cache's claim against the 1/M bound. Adaptation happens only on
-/// slow paths (refills and deferred flushes); pops and pushes are
-/// untouched. Placement stays uniform by construction: adaptation only
-/// changes *how many* slots a refill claims, never how they are chosen.
-///
 /// Epoch sweeper (Sweeper / DIEHARD_SWEEPER): an optional background
 /// maintenance thread that wakes every SweepIntervalMs and runs one pass
 /// over all four layers. A pass (1) ages out thread caches whose owners
@@ -201,12 +189,6 @@ struct ShardedHeapOptions {
   /// DIEHARD_TCACHE onto this.
   size_t ThreadCacheSlots = 0;
 
-  /// Adapt each cache's per-class K to the owning thread's traffic: grow
-  /// toward a cap on frequent refills, shrink and return surplus slots on
-  /// idle (see the file comment). No effect with ThreadCacheSlots == 0.
-  /// The shim maps DIEHARD_TCACHE_ADAPT onto this.
-  bool ThreadCacheAdaptive = false;
-
   /// Start the background epoch sweeper (see the file comment): periodic
   /// sidecar drains, quiet-cache aging, empty-partition page return, and
   /// the pressure table for overflow routing. Off by default — and the
@@ -236,15 +218,6 @@ public:
   /// loaded first) before giving up. Bounds the worst-case work of an
   /// allocation at saturation.
   static constexpr size_t MaxOverflowProbes = 8;
-
-  /// Adaptive cache sizing: a class must refill this many times within one
-  /// sweep window before its K doubles (the first refill after a quiet
-  /// window is free; the second marks the class hot).
-  static constexpr uint32_t CacheGrowRefills = 2;
-
-  /// Adaptive cache sizing: one idle-class shrink sweep per this many
-  /// slow-path events (refills + deferred flushes) of a cache.
-  static constexpr uint32_t CacheSweepPeriod = 32;
 
   /// Creates the shards per \p Options. As with DieHardHeap, a reservation
   /// failure leaves the heap unusable rather than throwing: isValid() turns
@@ -362,26 +335,11 @@ public:
   /// error. Lock-free read.
   uint64_t remoteFreeRejects() const;
 
-  /// The calling thread's current adaptive batch size K for size class
-  /// \p Class — ThreadCacheSlots until adaptation moves it — or 0 when the
-  /// cache tier is off, \p Class is out of range, or this thread has no
-  /// cache installed yet (the query never installs one). The dlsym
-  /// observability hook diehard_tcache_target_k() lands here.
-  size_t threadCacheTargetK(int Class) const;
-
-  /// Internal: full flush on behalf of the thread-exit destructor. Called
-  /// by threadCacheExitFlush() under the cache registry lock; not part of
-  /// the public surface.
-  void flushCacheAtThreadExit(ThreadCache &TC) { flushCacheFully(TC); }
-
-  /// Internal: full flush of a quiet thread's seized cache on behalf of
-  /// the sweeper (threadCacheAgeQuiet, under the cache registry lock).
-  /// Skips the adaptive-sizing bookkeeping — that state is owner-private
-  /// plain words the sweeper must not touch. Not part of the public
-  /// surface.
-  void flushCacheAged(ThreadCache &TC) {
-    flushCacheFully(TC, /*Adapt=*/false);
-  }
+  /// Internal: full flush of a cache whose owner is not running it — on
+  /// behalf of the thread-exit destructor (threadCacheExitFlush) or the
+  /// sweeper's aging of a seized cache (threadCacheAgeQuiet), both under
+  /// the cache registry lock. Not part of the public surface.
+  void flushCacheFromRegistry(ThreadCache &TC) { flushCacheFully(TC); }
 
   /// Runs one synchronous sweeper pass on the calling thread (serialized
   /// with the background thread through the pass gate). Only meaningful
@@ -531,33 +489,21 @@ private:
   ThreadCache *cacheForThread();
 
   /// Refills \p TC's class-\p Class buffer with one locked batch claim of
-  /// the cache's current K from the home partition (draining the
-  /// partition's sidecar first, since the lock is held anyway) and pops
-  /// the first slot. Runs the adaptive grow/sweep bookkeeping when
-  /// enabled. \returns nullptr if the home partition is saturated (the
+  /// K slots from the home partition (draining the partition's sidecar
+  /// first, since the lock is held anyway) and pops the first slot.
+  /// \returns nullptr if the home partition is saturated (the
   /// caller falls back to the locked path, which may route overflow to a
   /// sibling).
   void *refillAndPop(ThreadCache &TC, int Class);
 
-  /// Adaptive sizing, post-refill: marks \p Class hot (doubling its K
-  /// toward the cap on repeated refills) and runs the periodic idle sweep.
-  void adaptAfterRefill(ThreadCache &TC, int Class);
-
-  /// Adaptive sizing: every CacheSweepPeriod slow-path events, halve the K
-  /// of classes with no refill since the last sweep and return any cached
-  /// surplus above the new K to the home partition.
-  void maybeSweepCache(ThreadCache &TC);
-
   /// Returns every deferred free to its owning partition: one locked batch
   /// per home-shard (owner, class) group, lock-free sidecar pushes for
-  /// groups owned by other shards. \p Adapt false (the sweeper's aged
-  /// flush) skips the adaptive idle sweep, whose bookkeeping is
-  /// owner-private.
-  void flushDeferred(ThreadCache &TC, bool Adapt = true);
+  /// groups owned by other shards.
+  void flushDeferred(ThreadCache &TC);
 
   /// flushDeferred plus reclamation of all unused cached slots and a fold
   /// of the cache's counters into the heap aggregates.
-  void flushCacheFully(ThreadCache &TC, bool Adapt = true);
+  void flushCacheFully(ThreadCache &TC);
 
   /// The heap-level relaxed gauges common to stats() and statsApprox()
   /// (large path, foreign frees, overflow, cache refill/flush counters,
@@ -649,14 +595,9 @@ private:
   uint64_t Id = 0;
 
   /// Resolved per-class cache batch size K (0 = tier disabled) and
-  /// deferred buffer capacity. With adaptive sizing, K is only each
-  /// cache's starting point: per-class targets move within
-  /// [CacheMinK, CacheCapPerClass], and buffers are sized for the cap.
+  /// deferred buffer capacity.
   uint32_t CacheSlotsPerClass = 0;
   uint32_t CacheDeferredCap = 0;
-  bool CacheAdaptive = false;
-  uint32_t CacheMinK = 0;
-  uint32_t CacheCapPerClass = 0;
 
   /// Registry of this heap's live caches (guarded by the process-global
   /// cache registry lock in ThreadCache.cpp).

@@ -82,7 +82,7 @@ void threadCacheExitFlush(void *) {
       // The heap outlives us: return every cached slot and deferred free,
       // then drop out of its registry. Partition locks are taken under the
       // registry lock here — the documented hierarchy.
-      TC->Heap->flushCacheAtThreadExit(*TC);
+      TC->Heap->flushCacheFromRegistry(*TC);
       if (TC->RegPrev != nullptr)
         TC->RegPrev->RegNext = TC->RegNext;
       else
@@ -99,10 +99,8 @@ void threadCacheExitFlush(void *) {
 ThreadCache *ThreadCache::create(ShardedHeap *Heap,
                                  ThreadCacheAnchor *Anchor, uint64_t HeapId,
                                  uint32_t HomeShard, uint32_t SlotsPerClass,
-                                 uint32_t InitialK,
                                  uint32_t DeferredCapacity) {
   assert(SlotsPerClass >= 1 && SlotsPerClass <= MaxSlotsPerClass);
-  assert(InitialK >= 1 && InitialK <= SlotsPerClass);
   assert(DeferredCapacity >= 1 && DeferredCapacity <= MaxDeferred);
   size_t Bytes = sizeof(ThreadCache) +
                  static_cast<size_t>(SizeClass::NumClasses) * SlotsPerClass *
@@ -116,23 +114,17 @@ ThreadCache *ThreadCache::create(ShardedHeap *Heap,
   if (Mem == MAP_FAILED)
     return nullptr;
   return new (Mem) ThreadCache(Heap, Anchor, HeapId, HomeShard,
-                               SlotsPerClass, InitialK, DeferredCapacity,
-                               Bytes);
+                               SlotsPerClass, DeferredCapacity, Bytes);
 }
 
 ThreadCache::ThreadCache(ShardedHeap *OwningHeap,
                          ThreadCacheAnchor *HeapAnchor,
                          uint64_t OwningHeapId, uint32_t HomeShard,
-                         uint32_t SlotsEachClass, uint32_t InitialK,
+                         uint32_t SlotsEachClass,
                          uint32_t DeferredCapacity, size_t MappedBytes)
     : Heap(OwningHeap), Anchor(HeapAnchor), HeapId(OwningHeapId),
       Home(HomeShard), SlotCapacity(SlotsEachClass),
-      DeferredCap(DeferredCapacity), MapBytes(MappedBytes) {
-  for (int C = 0; C < SizeClass::NumClasses; ++C) {
-    TargetK[C] = InitialK;
-    RefillsSinceSweep[C] = 0;
-  }
-}
+      DeferredCap(DeferredCapacity), MapBytes(MappedBytes) {}
 
 void ThreadCache::destroy() {
   size_t Bytes = MapBytes;
@@ -165,16 +157,6 @@ size_t ThreadCache::drainDeferred(DeferredFree *Out) {
     DeferredUsed.store(0, std::memory_order_relaxed);
   }
   return N;
-}
-
-size_t ThreadCache::takeSurplus(int Class, void **Out, uint32_t Keep) {
-  uint32_t N = Counts[Class].load(std::memory_order_relaxed);
-  if (N <= Keep)
-    return 0;
-  uint32_t Surplus = N - Keep;
-  std::memcpy(Out, classSlots(Class) + Keep, Surplus * sizeof(void *));
-  Counts[Class].store(Keep, std::memory_order_relaxed);
-  return Surplus;
 }
 
 size_t ThreadCache::cachedTotal() const {
@@ -211,15 +193,13 @@ ThreadCache *threadCacheLookup(uint64_t HeapId) {
 ThreadCache *threadCacheInstall(ShardedHeap &Heap,
                                 ThreadCacheAnchor &Anchor, uint64_t HeapId,
                                 uint32_t HomeShard, uint32_t SlotsPerClass,
-                                uint32_t InitialK,
                                 uint32_t DeferredCapacity) {
   if (Installing)
     return nullptr;
   Installing = true;
   pthread_once(&ExitKeyOnce, createExitKey);
   ThreadCache *TC = ThreadCache::create(&Heap, &Anchor, HeapId, HomeShard,
-                                        SlotsPerClass, InitialK,
-                                        DeferredCapacity);
+                                        SlotsPerClass, DeferredCapacity);
   if (TC != nullptr) {
     // Arm the exit destructor BEFORE publishing the cache anywhere: any
     // non-null value triggers it, and the destructor walks the
@@ -291,7 +271,7 @@ size_t threadCacheAgeQuiet(ThreadCacheAnchor &Anchor, uint64_t Epoch) {
     // through the ordinary full-flush path — deferred frees return to
     // their owners (cross-shard via sidecars), cached slots reclaim via
     // reclaimSlots, pops fold — without the owner thread exiting.
-    TC->Heap->flushCacheAged(*TC);
+    TC->Heap->flushCacheFromRegistry(*TC);
     // Release the buffers back to the owner: its next bracket entry
     // acquires this store (or takes the registry lock) before touching
     // them.

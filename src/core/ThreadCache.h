@@ -91,12 +91,11 @@ public:
   static constexpr uint32_t MaxDeferred = 256;
 
   /// Maps and initializes a cache for the calling thread. \p SlotsPerClass
-  /// sizes the per-class buffers (the adaptive cap; with fixed K the cap
-  /// IS K); \p InitialK seeds every class's adaptive target. \returns
-  /// nullptr if the mapping fails.
+  /// (K) sizes the per-class buffers. \returns nullptr if the mapping
+  /// fails.
   static ThreadCache *create(ShardedHeap *Heap, ThreadCacheAnchor *Anchor,
                              uint64_t HeapId, uint32_t HomeShard,
-                             uint32_t SlotsPerClass, uint32_t InitialK,
+                             uint32_t SlotsPerClass,
                              uint32_t DeferredCapacity);
 
   /// Unmaps the cache. The caller must have unlinked it from the thread
@@ -162,38 +161,6 @@ public:
   uint32_t slotsPerClass() const { return SlotCapacity; }
   uint32_t deferredCapacity() const { return DeferredCap; }
 
-  // --- Adaptive sizing bookkeeping (owner thread only; the policy lives
-  // --- in ShardedHeap, this is just the cache's slow-path state) ----------
-
-  /// The current adaptive refill size for \p Class (== the initial K with
-  /// adaptation off).
-  uint32_t targetK(int Class) const { return TargetK[Class]; }
-  void setTargetK(int Class, uint32_t K) {
-    TargetK[Class] = K <= SlotCapacity ? K : SlotCapacity;
-  }
-
-  /// Counts a refill of \p Class within the current sweep window.
-  /// \returns the number of refills since the last sweep, this one
-  /// included.
-  uint32_t noteRefill(int Class) { return ++RefillsSinceSweep[Class]; }
-
-  /// Reads and clears \p Class's refill count for the closing window.
-  uint32_t takeRefillMark(int Class) {
-    uint32_t N = RefillsSinceSweep[Class];
-    RefillsSinceSweep[Class] = 0;
-    return N;
-  }
-
-  /// Counts one slow-path event. \returns true every \p Period events —
-  /// the cue to run an idle sweep.
-  bool tickSlowPath(uint32_t Period) {
-    return ++SlowPathTicks % Period == 0;
-  }
-
-  /// Removes every cached slot of \p Class beyond \p Keep into \p Out
-  /// (capacity >= slotsPerClass()). \returns the number removed.
-  size_t takeSurplus(int Class, void **Out, uint32_t Keep);
-
   // --- Sweeper handshake and epoch stamp (active only with the epoch
   // --- sweeper on; see ShardedHeap's sweeper documentation) ---------------
 
@@ -227,15 +194,14 @@ public:
 private:
   ThreadCache(ShardedHeap *OwningHeap, ThreadCacheAnchor *HeapAnchor,
               uint64_t OwningHeapId, uint32_t HomeShard,
-              uint32_t SlotsEachClass, uint32_t InitialK,
-              uint32_t DeferredCapacity, size_t MappedBytes);
+              uint32_t SlotsEachClass, uint32_t DeferredCapacity,
+              size_t MappedBytes);
 
   friend ThreadCache *threadCacheLookup(uint64_t HeapId);
   friend ThreadCache *threadCacheInstall(ShardedHeap &Heap,
                                          ThreadCacheAnchor &Anchor,
                                          uint64_t HeapId, uint32_t HomeShard,
                                          uint32_t SlotsPerClass,
-                                         uint32_t InitialK,
                                          uint32_t DeferredCapacity);
   friend void threadCacheRetireHeap(ThreadCacheAnchor &Anchor);
   friend ThreadCacheTally threadCacheTally(const ThreadCacheAnchor &Anchor);
@@ -291,12 +257,6 @@ private:
   /// registry lock); the owner re-synchronizes through the registry lock
   /// when it observes the flag.
   std::atomic<uint32_t> Seized{0};
-
-  // Adaptive-sizing state: owner-thread-only plain words (never read off
-  // the owner thread; stats snapshots sum Counts, not targets).
-  uint32_t TargetK[SizeClass::NumClasses];
-  uint32_t RefillsSinceSweep[SizeClass::NumClasses];
-  uint32_t SlowPathTicks = 0;
 };
 
 /// Returns the calling thread's cache for heap \p HeapId, or nullptr if
@@ -308,7 +268,7 @@ ThreadCache *threadCacheLookup(uint64_t HeapId);
 /// made while the cache is being installed must take the uncached path).
 ThreadCache *threadCacheInstall(ShardedHeap &Heap, ThreadCacheAnchor &Anchor,
                                 uint64_t HeapId, uint32_t HomeShard,
-                                uint32_t SlotsPerClass, uint32_t InitialK,
+                                uint32_t SlotsPerClass,
                                 uint32_t DeferredCapacity);
 
 /// Marks every cache registered on \p Anchor dead and empties the registry.

@@ -829,27 +829,19 @@ FuzzConfig decodeFuzzConfig(const uint8_t *Data, size_t Size,
   FuzzConfig C;
   C.NumShards = 1 + (B1 & 3);
   C.ThreadCacheSlots = (B0 & 1) != 0 ? 8 : 0;
-  C.Adaptive = (B0 & 2) != 0 && C.ThreadCacheSlots != 0;
+  // Bit 1 is unused: the layout stays fixed so committed inputs keep
+  // decoding to the same configuration.
   C.Sweeper = (B0 & 4) != 0;
   C.Overflow = (B0 & 8) == 0;
   C.RandomFill = (B0 & 16) != 0;
   // Small reservations on purpose: saturation, overflow routing and
   // allocation failure are part of the searched surface.
   C.HeapSize = (B0 & 32) != 0 ? (8u << 20) : (24u << 20);
-  // Bits 6-7 pick the page-return policy. Two of the four codes map to
-  // the DontNeed default so random inputs mostly exercise the production
-  // configuration and the Free / Off corners stay reachable.
-  switch (B0 >> 6) {
-  case 2:
-    C.PageReturn = PageReturnPolicy::Free;
-    break;
-  case 3:
-    C.PageReturn = PageReturnPolicy::Off;
-    break;
-  default:
-    C.PageReturn = PageReturnPolicy::DontNeed;
-    break;
-  }
+  // Bits 6-7 pick the page-return policy. Only code 3 selects Off; codes
+  // 0-2 keep the DontNeed default, so random inputs mostly exercise the
+  // production configuration.
+  C.PageReturn =
+      (B0 >> 6) == 3 ? PageReturnPolicy::Off : PageReturnPolicy::DontNeed;
   C.Workers = (B1 >> 2) & 3;
   C.SweepIntervalMs = 1 + ((B1 >> 4) & 7); // 1..8 ms epochs.
   // B1's top bit (formerly interval range 9..16, a redundant timing axis)
@@ -877,7 +869,6 @@ FuzzResult runFuzzSequence(const uint8_t *Data, size_t Size,
   Opts.NumShards = Cfg.NumShards;
   Opts.OverflowRouting = Cfg.Overflow;
   Opts.ThreadCacheSlots = Cfg.ThreadCacheSlots;
-  Opts.ThreadCacheAdaptive = Cfg.Adaptive;
   Opts.Sweeper = Cfg.Sweeper;
   // Fast epochs either way: aging must happen mid-sequence.
   Opts.SweepIntervalMs = Cfg.SweepIntervalMs;

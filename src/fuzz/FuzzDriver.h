@@ -75,10 +75,9 @@ const char *errorClassName(int Class);
 struct FuzzConfig {
   size_t NumShards = 1;        ///< 1..4.
   size_t ThreadCacheSlots = 0; ///< 0 (tier off) or 8 (DIEHARD_TCACHE).
-  bool Adaptive = false;       ///< DIEHARD_TCACHE_ADAPT.
   bool Sweeper = false;        ///< DIEHARD_SWEEPER.
   size_t SweepIntervalMs = 2;  ///< Sweep epoch length, 1..16 ms.
-  /// DIEHARD_PAGE_RETURN for the run. Off and Free must leave every
+  /// DIEHARD_PAGE_RETURN for the run. Off must leave every
   /// differential check untouched: page return only ever drops pages no
   /// live object overlaps, so the policy is pure footprint, never
   /// placement or content.

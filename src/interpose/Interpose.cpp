@@ -13,8 +13,12 @@
 ///
 /// Configuration via the environment:
 ///   DIEHARD_HEAP_SIZE   heap reservation in bytes (default 384 MB),
-///                       reserved per shard (lazily committed, so shards
-///                       cost address space rather than memory)
+///                       reserved per shard and committed lazily. Probes
+///                       are uniform over each class's whole region
+///                       (32 MB at the default), so a few million
+///                       allocations touch every page of every class in
+///                       use: a two-thread larson run holding under 1 MB
+///                       live peaks at ~480 MB RSS and keeps it.
 ///   DIEHARD_M           expansion factor M (default 2)
 ///   DIEHARD_SEED        RNG seed; 0 or unset = truly random per process
 ///   DIEHARD_SHARDS      heap shard count; unset/0 = one per CPU, clamped to
@@ -35,12 +39,6 @@
 ///                       timing — and under an explicit DIEHARD_SHARDS=1,
 ///                       where bit-identity with a lone DieHardHeap is
 ///                       being enforced.
-///   DIEHARD_TCACHE_ADAPT "1" adapts each cache's per-class K to the
-///                       thread's traffic: frequent refills double K
-///                       toward a cap (8x the base), idle classes halve
-///                       it and return the surplus slots to their
-///                       partition. Off by default; meaningless without
-///                       the thread cache.
 ///   DIEHARD_SWEEPER     "1" starts the background epoch sweeper: periodic
 ///                       passes drain idle partitions' remote-free
 ///                       sidecars, age out quiet threads' caches, return
@@ -51,16 +49,13 @@
 ///                       would perturb a replica's per-seed determinism.
 ///   DIEHARD_SWEEP_MS    milliseconds between sweeper passes (default 100,
 ///                       clamped to >= 1); meaningless without the sweeper
-///   DIEHARD_PAGE_RETURN how released page spans are handed back to the
-///                       OS: "dontneed" (default; MADV_DONTNEED, RSS drops
-///                       immediately), "free" (MADV_FREE where the kernel
-///                       supports it — pages stay resident until memory
-///                       pressure, cheaper refaults; falls back to
-///                       dontneed), or "off" (never release pages).
-///   DIEHARD_THP         "1" backs the always-resident metadata mappings
-///                       (allocation bitmaps, sidecar link words) with
-///                       transparent huge pages (MADV_HUGEPAGE) to cut TLB
-///                       pressure on the fast path. Off by default.
+///   DIEHARD_PAGE_RETURN "off" never releases pages; anything else (the
+///                       default) hands released page spans back to the
+///                       OS with MADV_DONTNEED, so RSS drops immediately.
+///   DIEHARD_MESH        "1" lets sweeper passes mesh sparse pages onto
+///                       shared physical frames. Off by default, forced
+///                       off in replicated mode; no effect without the
+///                       sweeper.
 ///   DIEHARD_STATS       "1" dumps a JSON stats line (the lock-free
 ///                       statsApprox() snapshot) at process exit to the
 ///                       process's startup stderr; any other value is
@@ -266,7 +261,6 @@ ShardedHeap *constructHeap() {
   Options.NumShards = envShards(IsReplica);
   Options.OverflowRouting = envFlag("DIEHARD_OVERFLOW", true);
   Options.ThreadCacheSlots = envThreadCache(IsReplica);
-  Options.ThreadCacheAdaptive = envFlag("DIEHARD_TCACHE_ADAPT", false);
   // Replicas never run the sweeper: its thread would interleave with the
   // replica's allocation sequence and break per-seed determinism.
   Options.Sweeper = !IsReplica && envFlag("DIEHARD_SWEEPER", false);
@@ -467,14 +461,6 @@ void diehard_flush_thread_cache(void) {
 size_t diehard_remote_frees(void) {
   ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
   return H != nullptr ? static_cast<size_t>(H->remoteFrees()) : 0;
-}
-
-/// The calling thread's current adaptive batch size K for size class
-/// \p Class (see DIEHARD_TCACHE_ADAPT), or 0 when the cache tier is off,
-/// the class is out of range, or this thread has no cache yet.
-size_t diehard_tcache_target_k(int Class) {
-  ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
-  return H != nullptr ? H->threadCacheTargetK(Class) : 0;
 }
 
 /// Completed epoch-sweeper passes (see DIEHARD_SWEEPER); 0 with the

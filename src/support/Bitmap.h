@@ -61,10 +61,6 @@ public:
     size_t NumWords = (NumBits + BitsPerWord - 1) / BitsPerWord;
     if (NumWords == 0 || !Storage.map(NumWords * sizeof(uint64_t)))
       Bits = 0; // Fresh mappings are demand-zero: all bits start clear.
-    // Bitmaps are the hottest always-resident metadata (every allocate,
-    // free, and span scan walks them); under DIEHARD_THP, back them with
-    // transparent huge pages to cut TLB pressure.
-    Storage.adviseHugePages();
   }
 
   /// Clears every bit without changing the size.

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -301,8 +300,7 @@ size_t MmapRegion::releasePages(size_t FirstPage, size_t PageCount) {
   if (PageCount > NumPages - FirstPage)
     PageCount = NumPages - FirstPage;
   // Shared backing: MADV_DONTNEED only drops PTEs, the frames survive in
-  // the page cache — real reclaim is a hole punch, for the Free policy as
-  // well (a shared file has no MADV_FREE-style lazy mode). Pages meshed on
+  // the page cache — real reclaim is a hole punch. Pages meshed on
   // either side are skipped: a donor's virtual page no longer owns its
   // frame, and a survivor's frame is read through by its sibling — the
   // refcount is exactly what makes this path unable to release it.
@@ -343,29 +341,15 @@ namespace {
 /// answer.
 std::atomic<int> PolicyState{-1};
 
-/// Whether madvise(MADV_FREE) works here: 0 = untried, 1 = works,
-/// 2 = refused (pre-4.5 kernel, or no MADV_FREE at compile time) — fall
-/// back to MADV_DONTNEED forever after.
-std::atomic<int> LazyFreeState{0};
-
-/// DIEHARD_THP: -1 = unresolved, 0 = off, 1 = back metadata mappings with
-/// transparent huge pages.
-std::atomic<int> ThpState{-1};
-
 } // namespace
 
 PageReturnPolicy MmapRegion::pageReturnPolicy() {
   int State = PolicyState.load(std::memory_order_relaxed);
   if (State < 0) {
     const char *V = std::getenv("DIEHARD_PAGE_RETURN");
-    PageReturnPolicy P = PageReturnPolicy::DontNeed;
-    if (V != nullptr) {
-      if (std::strcmp(V, "free") == 0)
-        P = PageReturnPolicy::Free;
-      else if (std::strcmp(V, "off") == 0 || std::strcmp(V, "0") == 0)
-        P = PageReturnPolicy::Off;
-    }
-    State = static_cast<int>(P);
+    State = static_cast<int>(V != nullptr && std::strcmp(V, "off") == 0
+                                 ? PageReturnPolicy::Off
+                                 : PageReturnPolicy::DontNeed);
     PolicyState.store(State, std::memory_order_relaxed);
   }
   return static_cast<PageReturnPolicy>(State);
@@ -375,34 +359,13 @@ void MmapRegion::setPageReturnPolicy(PageReturnPolicy Policy) {
   PolicyState.store(static_cast<int>(Policy), std::memory_order_relaxed);
 }
 
-bool MmapRegion::lazyFreeWorks() {
-  return LazyFreeState.load(std::memory_order_relaxed) == 1;
-}
-
 size_t MmapRegion::releasePageRange(void *PageBegin, size_t PageBytes) {
   assert(reinterpret_cast<uintptr_t>(PageBegin) % pageSize() == 0 &&
          PageBytes % pageSize() == 0 && "range must be exactly page-aligned");
   if (PageBytes == 0)
     return 0;
-  PageReturnPolicy Policy = pageReturnPolicy();
-  if (Policy == PageReturnPolicy::Off)
+  if (pageReturnPolicy() == PageReturnPolicy::Off)
     return 0;
-#ifdef MADV_FREE
-  if (Policy == PageReturnPolicy::Free &&
-      LazyFreeState.load(std::memory_order_relaxed) != 2) {
-    if (::madvise(PageBegin, PageBytes, MADV_FREE) == 0) {
-      LazyFreeState.store(1, std::memory_order_relaxed);
-      return PageBytes;
-    }
-    if (errno != EINVAL)
-      return 0; // Transient refusal (e.g. locked pages): advise nothing.
-    // EINVAL: the kernel predates MADV_FREE. Remember and fall through.
-    LazyFreeState.store(2, std::memory_order_relaxed);
-  }
-#else
-  if (Policy == PageReturnPolicy::Free)
-    LazyFreeState.store(2, std::memory_order_relaxed);
-#endif
   if (::madvise(PageBegin, PageBytes, MADV_DONTNEED) != 0)
     return 0;
   return PageBytes;
@@ -520,30 +483,6 @@ void MmapRegion::endMeshGuard() {
 void MmapRegion::abortMeshGuard(void *DonorPage) {
   (void)::mprotect(DonorPage, pageSize(), PROT_READ | PROT_WRITE);
   ActiveMeshDonor.store(0, std::memory_order_release);
-}
-
-bool MmapRegion::hugePageMetadata() {
-  int State = ThpState.load(std::memory_order_relaxed);
-  if (State < 0) {
-    const char *V = std::getenv("DIEHARD_THP");
-    State = (V != nullptr && V[0] == '1' && V[1] == '\0') ? 1 : 0;
-    ThpState.store(State, std::memory_order_relaxed);
-  }
-  return State == 1;
-}
-
-void MmapRegion::setHugePageMetadata(bool On) {
-  ThpState.store(On ? 1 : 0, std::memory_order_relaxed);
-}
-
-void MmapRegion::adviseHugePages() const {
-  if (Base == nullptr || !hugePageMetadata())
-    return;
-#ifdef MADV_HUGEPAGE
-  // Best effort: THP may be disabled system-wide (EINVAL) — the mapping
-  // works identically either way, just with 4 KB TLB entries.
-  (void)::madvise(Base, Size, MADV_HUGEPAGE);
-#endif
 }
 
 size_t MmapRegion::pageSize() {

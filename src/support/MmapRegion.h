@@ -29,11 +29,6 @@ enum class PageReturnPolicy {
   /// immediately and refault demand-zero. The default — RSS falls the
   /// moment the advice lands, which keeps footprint measurements honest.
   DontNeed,
-  /// madvise(MADV_FREE) where the kernel supports it (runtime-detected;
-  /// falls back to MADV_DONTNEED): pages become reclaimable but stay
-  /// resident until memory pressure, and a write before reclaim cancels
-  /// the free — cheaper refaults on churny workloads, lazier RSS.
-  Free,
   /// Never release pages (the pre-partial-return behaviour).
   Off,
 };
@@ -124,10 +119,9 @@ public:
   /// releasePageRange but aware of this region's backing mode: private
   /// regions take the madvise path; meshable regions punch holes in the
   /// backing file (MADV_DONTNEED cannot evict a shared file's page-cache
-  /// frames — both policies reclaim eagerly, there is no lazy mode) and
-  /// skip any page participating in a mesh, so a survivor's frame is never
-  /// pulled out from under its sibling. \returns the number of bytes
-  /// actually released.
+  /// frames) and skip any page participating in a mesh, so a survivor's
+  /// frame is never pulled out from under its sibling. \returns the number
+  /// of bytes actually released.
   size_t releasePages(size_t FirstPage, size_t PageCount);
 
   /// Write-quiescence guard for a mesh copy: marks the page at \p DonorPage
@@ -175,39 +169,19 @@ public:
   /// Returns the exactly page-aligned range [\p PageBegin, \p PageBegin +
   /// \p PageBytes) to the OS under the process page-return policy: the
   /// virtual range stays mapped, only its physical pages are handed back
-  /// (immediately with MADV_DONTNEED, lazily with MADV_FREE). \returns the
-  /// number of bytes the advice covered — 0 when the policy is Off or the
-  /// kernel refused — so callers only account pages that actually left the
-  /// committed set.
+  /// with MADV_DONTNEED. \returns the number of bytes the advice covered
+  /// — 0 when the policy is Off or the kernel refused — so callers only
+  /// account pages that actually left the committed set.
   static size_t releasePageRange(void *PageBegin, size_t PageBytes);
 
   /// The process page-return policy. First call resolves
-  /// DIEHARD_PAGE_RETURN ("dontneed" | "free" | "off"; default dontneed);
-  /// later calls return the cached value.
+  /// DIEHARD_PAGE_RETURN ("off" disables; any other value, or none, means
+  /// dontneed); later calls return the cached value.
   static PageReturnPolicy pageReturnPolicy();
 
   /// Overrides the page-return policy (benches and tests; takes effect for
   /// subsequent releasePageRange calls process-wide).
   static void setPageReturnPolicy(PageReturnPolicy Policy);
-
-  /// True once a MADV_FREE advice has been observed to work in this
-  /// process; meaningful after the first releasePageRange under the Free
-  /// policy (benches report which mode actually ran).
-  static bool lazyFreeWorks();
-
-  /// Whether always-resident metadata regions should be backed by
-  /// transparent huge pages (MADV_HUGEPAGE). First call resolves
-  /// DIEHARD_THP ("1" enables; default off).
-  static bool hugePageMetadata();
-
-  /// Overrides the metadata-THP switch (tests; affects mappings created
-  /// afterwards).
-  static void setHugePageMetadata(bool On);
-
-  /// Advises the kernel to back this mapping with transparent huge pages,
-  /// if hugePageMetadata() is on. Failure is ignored — THP is a TLB
-  /// optimization, never a correctness requirement.
-  void adviseHugePages() const;
 
   /// Returns the system page size.
   static size_t pageSize();

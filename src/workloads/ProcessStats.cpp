@@ -12,9 +12,7 @@
 #include "workloads/ProcessStats.h"
 
 #include <cstdio>
-#include <cstring>
 
-#include <sys/mman.h>
 #include <unistd.h>
 
 namespace diehard {
@@ -29,45 +27,6 @@ long currentRssKb() {
   if (N != 2)
     return 0;
   return ResidentPages * (::sysconf(_SC_PAGESIZE) / 1024);
-}
-
-long lazyFreeKb() {
-  std::FILE *F = std::fopen("/proc/self/smaps_rollup", "r");
-  if (F == nullptr)
-    return 0;
-  char Line[256];
-  long Kb = 0;
-  while (std::fgets(Line, sizeof(Line), F) != nullptr)
-    if (std::sscanf(Line, "LazyFree: %ld kB", &Kb) == 1)
-      break;
-  std::fclose(F);
-  return Kb;
-}
-
-bool pageOutAnonymous() {
-#ifdef MADV_PAGEOUT
-  std::FILE *F = std::fopen("/proc/self/maps", "r");
-  if (F == nullptr)
-    return false;
-  char Line[512];
-  while (std::fgets(Line, sizeof(Line), F) != nullptr) {
-    unsigned long Begin = 0, End = 0, Offset = 0, Inode = 1;
-    char Perms[8] = {}, Dev[16] = {};
-    if (std::sscanf(Line, "%lx-%lx %7s %lx %15s %lu", &Begin, &End, Perms,
-                    &Offset, Dev, &Inode) != 6)
-      continue;
-    // Unnamed rw anonymous mappings only: the heap's reservations. Named
-    // regions ([stack], [heap], file backings) are skipped.
-    if (Inode != 0 || std::strcmp(Perms, "rw-p") != 0 ||
-        std::strchr(Line, '[') != nullptr || std::strchr(Line, '/') != nullptr)
-      continue;
-    ::madvise(reinterpret_cast<void *>(Begin), End - Begin, MADV_PAGEOUT);
-  }
-  std::fclose(F);
-  return true;
-#else
-  return false;
-#endif
 }
 
 } // namespace diehard

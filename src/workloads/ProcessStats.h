@@ -6,10 +6,9 @@
 ///
 /// \file
 /// Process-level memory metrics shared by the space and gauntlet benches:
-/// current and lazily-freed resident set from /proc, and a synthetic
-/// memory-pressure trigger. These were private to bench_space before the
-/// gauntlet needed the same numbers; they live in the workload library so
-/// every harness reads RSS the same way.
+/// the current resident set from /proc. This was private to bench_space
+/// before the gauntlet needed the same number; it lives in the workload
+/// library so every harness reads RSS the same way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,21 +21,6 @@ namespace diehard {
 /// unlike ru_maxrss this can go back down, which is what the sweeper's
 /// page-return measurements are about. Returns 0 on failure.
 long currentRssKb();
-
-/// The process's lazily-freed resident pages in KB, from
-/// /proc/self/smaps_rollup. MADV_FREE'd pages stay in RSS until memory
-/// pressure reclaims them; subtracting LazyFree gives the footprint the
-/// process would shrink to under pressure ("effective RSS"). Returns 0
-/// where the kernel has no smaps_rollup or no LazyFree accounting.
-long lazyFreeKb();
-
-/// Simulates memory pressure on the calling process: MADV_PAGEOUT over
-/// every writable private anonymous mapping forces the kernel to reclaim
-/// lazily-freed (MADV_FREE / LazyFree) pages right now rather than
-/// waiting for a real low-memory event. Returns false where the kernel
-/// predates MADV_PAGEOUT; clean and dirty live pages survive (they are
-/// paged out and fault back), so the call is safe to run mid-benchmark.
-bool pageOutAnonymous();
 
 } // namespace diehard
 

@@ -209,8 +209,7 @@ TEST(MeshingTest, FrameRefcountsSurviveSpanScansUnderEachPolicy) {
   // policy — a punched survivor frame would zero the donor's objects.
   PageReturnPolicy Old = MmapRegion::pageReturnPolicy();
   for (PageReturnPolicy Policy :
-       {PageReturnPolicy::DontNeed, PageReturnPolicy::Free,
-        PageReturnPolicy::Off}) {
+       {PageReturnPolicy::DontNeed, PageReturnPolicy::Off}) {
     MmapRegion::setPageReturnPolicy(Policy);
     DieHardHeap H(meshOptions(45));
     ASSERT_TRUE(H.isValid());

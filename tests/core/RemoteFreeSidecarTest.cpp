@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the remote-free MPSC sidecar and adaptive cache sizing: the
-/// cross-shard flush path that never touches the remote partition's mutex
-/// (asserted through the RemoteFrees/SidecarDrains counters), opportunistic
-/// owner-side drains at the refill boundary, double-free detection at push
-/// and at drain time, stats reconciliation (Allocations == Frees with frees
-/// still in flight), a TSan-covered cross-shard free storm through full
-/// sidecars, and the adaptive-K grow/shrink policy with surplus slots
-/// returned to their partition.
+/// Tests for the remote-free MPSC sidecar: the cross-shard flush path that
+/// never touches the remote partition's mutex (asserted through the
+/// RemoteFrees/SidecarDrains counters), opportunistic owner-side drains at
+/// the refill boundary, double-free detection at push and at drain time,
+/// stats reconciliation (Allocations == Frees with frees still in flight),
+/// and a TSan-covered cross-shard free storm through full sidecars.
 ///
 /// The storm test scales with DIEHARD_STRESS_ITERS (a multiplier, default
 /// 1) so the nightly CI lane can run it at elevated counts.
@@ -49,14 +47,12 @@ int stressMultiplier() {
 /// partitions are 16 * MaxObjectSize, so the 256-byte class has 1024 slots
 /// and a 1/M threshold of 512.
 ShardedHeapOptions sidecarOptions(size_t Shards, size_t CacheSlots = 16,
-                                  uint64_t Seed = 42,
-                                  bool Adaptive = false) {
+                                  uint64_t Seed = 42) {
   ShardedHeapOptions O;
   O.Heap.HeapSize = SizeClass::NumClasses * SizeClass::MaxObjectSize * 16;
   O.Heap.Seed = Seed;
   O.NumShards = Shards;
   O.ThreadCacheSlots = CacheSlots;
-  O.ThreadCacheAdaptive = Adaptive;
   return O;
 }
 
@@ -262,10 +258,9 @@ TEST(RemoteFreeSidecarTest, CrossShardFreeStormStaysConsistent) {
   // The TSan workload: producers on every shard allocate and publish;
   // consumers free whatever arrives, wherever it lives, so sidecars fill
   // and drain concurrently with claims, reclaims and locked batches.
-  // Adaptive sizing is on so the storm also exercises K moving under
-  // load. Scaled by DIEHARD_STRESS_ITERS for the nightly lane.
+  // Scaled by DIEHARD_STRESS_ITERS for the nightly lane.
   const int Mult = stressMultiplier();
-  ShardedHeapOptions O = sidecarOptions(4, 8, 77, /*Adaptive=*/true);
+  ShardedHeapOptions O = sidecarOptions(4, 8, 77);
   O.Heap.HeapSize = SizeClass::NumClasses * SizeClass::MaxObjectSize * 64;
   ShardedHeap H(O);
   ASSERT_TRUE(H.isValid());
@@ -338,76 +333,6 @@ TEST(RemoteFreeSidecarTest, CrossShardFreeStormStaysConsistent) {
   EXPECT_EQ(S.IgnoredFrees, 0u);
   EXPECT_GT(S.RemoteFrees, 0u) << "the storm must exercise the sidecars";
   EXPECT_GE(S.SidecarDrains, 1u);
-}
-
-TEST(RemoteFreeSidecarTest, AdaptiveKGrowsOnHotTraffic) {
-  // A class refilling repeatedly within one sweep window doubles its K
-  // toward the cap (8x the base), so steady allocation takes ever fewer
-  // lock round-trips.
-  ShardedHeap H(sidecarOptions(1, 8, 11, /*Adaptive=*/true));
-  ASSERT_TRUE(H.isValid());
-  constexpr size_t HotSize = 64;
-  int Hot = SizeClass::sizeToClass(HotSize);
-  EXPECT_EQ(H.threadCacheTargetK(Hot), 0u) << "no cache before first use";
-
-  std::vector<void *> Held;
-  for (int I = 0; I < 600; ++I) {
-    void *P = H.allocate(HotSize);
-    ASSERT_NE(P, nullptr);
-    Held.push_back(P);
-  }
-  EXPECT_EQ(H.threadCacheTargetK(Hot), 64u)
-      << "8 base slots must have grown to the 8x cap";
-
-  for (void *P : Held)
-    H.deallocate(P);
-  H.flushThreadCache();
-  H.drainRemoteFrees();
-  DieHardStats S = H.stats();
-  EXPECT_EQ(S.Allocations, S.Frees);
-}
-
-TEST(RemoteFreeSidecarTest, AdaptiveKShrinksAndReturnsSurplusWhenIdle) {
-  // A hot class gone idle is swept: its K halves per idle window down to
-  // the floor and the cached surplus above the new K is returned to the
-  // partition via reclaimSlots, releasing its claim on the 1/M bound.
-  ShardedHeap H(sidecarOptions(1, 8, 12, /*Adaptive=*/true));
-  ASSERT_TRUE(H.isValid());
-  constexpr size_t IdleSize = 64, BusySize = 1024;
-  int Idle = SizeClass::sizeToClass(IdleSize);
-  const RandomizedPartition &IdlePart = H.shard(0).partition(Idle);
-
-  // Phase 1: make the class hot; grow K to the cap and leave its buffer
-  // holding claimed slots.
-  std::vector<void *> Held;
-  for (int I = 0; I < 600; ++I)
-    Held.push_back(H.allocate(IdleSize));
-  ASSERT_EQ(H.threadCacheTargetK(Idle), 64u);
-  for (void *P : Held)
-    H.deallocate(P);
-  Held.clear();
-  size_t CachedAfterHot = IdlePart.live();
-  EXPECT_GT(CachedAfterHot, 2u) << "the buffer must hold claimed slots";
-
-  // Phase 2: hammer a different class only. Deferred flushes and refills
-  // tick the sweep clock; five idle windows walk K from 64 down to the
-  // floor of base/4 = 2, reclaiming the surplus along the way.
-  for (int I = 0; I < 4000; ++I) {
-    void *P = H.allocate(BusySize);
-    ASSERT_NE(P, nullptr);
-    H.deallocate(P);
-  }
-  EXPECT_EQ(H.threadCacheTargetK(Idle), 2u)
-      << "idle sweeps must have halved K to the floor";
-  EXPECT_LE(IdlePart.live(), 2u)
-      << "surplus cached slots must be back in the partition";
-  EXPECT_GT(IdlePart.stats().ReturnedSlots, 0u);
-
-  H.flushThreadCache();
-  H.drainRemoteFrees();
-  DieHardStats S = H.stats();
-  EXPECT_EQ(S.Allocations, S.Frees);
-  EXPECT_EQ(H.bytesLive(), 0u);
 }
 
 } // namespace

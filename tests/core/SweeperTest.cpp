@@ -446,7 +446,6 @@ TEST(SweeperTest, SweeperVersusAllocatorStressStaysConsistent) {
   ShardedHeapOptions O = sweeperOptions(4, /*CacheSlots=*/8,
                                         /*IntervalMs=*/2, /*Seed=*/77);
   O.Heap.HeapSize = SizeClass::NumClasses * SizeClass::MaxObjectSize * 64;
-  O.ThreadCacheAdaptive = true;
   ShardedHeap H(O);
   ASSERT_TRUE(H.isValid());
   ASSERT_TRUE(H.sweeperEnabled());

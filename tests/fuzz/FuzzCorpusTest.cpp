@@ -77,7 +77,7 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   uint64_t TotalOps = 0;
   bool SawCached = false, SawUncached = false, SawMultiShard = false;
   bool SawWorkers = false;
-  bool SawPageReturnFree = false, SawPageReturnOff = false;
+  bool SawPageReturnOff = false;
   bool SawMeshing = false;
 
   for (const std::string &Path : Files) {
@@ -91,8 +91,6 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
     (R.Config.ThreadCacheSlots != 0 ? SawCached : SawUncached) = true;
     SawMultiShard = SawMultiShard || R.Config.NumShards > 1;
     SawWorkers = SawWorkers || R.Config.Workers > 0;
-    SawPageReturnFree =
-        SawPageReturnFree || R.Config.PageReturn == PageReturnPolicy::Free;
     SawPageReturnOff =
         SawPageReturnOff || R.Config.PageReturn == PageReturnPolicy::Off;
     SawMeshing = SawMeshing || R.Config.Meshing;
@@ -107,8 +105,6 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   EXPECT_TRUE(SawUncached) << "corpus never runs the locked paths";
   EXPECT_TRUE(SawMultiShard) << "corpus never runs multiple shards";
   EXPECT_TRUE(SawWorkers) << "corpus never spawns cross-thread workers";
-  EXPECT_TRUE(SawPageReturnFree)
-      << "corpus never selects DIEHARD_PAGE_RETURN=free";
   EXPECT_TRUE(SawPageReturnOff)
       << "corpus never selects DIEHARD_PAGE_RETURN=off";
   EXPECT_TRUE(SawMeshing) << "corpus never enables DIEHARD_MESH";

@@ -199,25 +199,16 @@ TEST(InterposeTest, TinyThreadCacheForcesConstantRefills) {
   EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
 }
 
-TEST(InterposeTest, AdaptiveThreadCacheServesTheFullStress) {
-  // DIEHARD_TCACHE_ADAPT moves every cache's per-class K under the storm
-  // (growth on the hot phases, idle sweeps between them) while the
-  // victim's phase 3 pins the hygiene invariants: zero cached slots after
-  // joins, and the adaptive-K hook honouring its bounds.
+TEST(InterposeTest, RetiredSettingsAreInert) {
+  // A deployment that still exports the retired settings below (adaptive
+  // cache sizing, metadata huge pages, lazy page return) must get the
+  // production configuration — fixed K, MADV_DONTNEED page return — and
+  // pass the full sweeper-on stress unchanged.
   RunResult R = runPreloaded(
       DIEHARD_MT_SHARD_VICTIM_PATH,
-      "DIEHARD_SHARDS=4 DIEHARD_TCACHE=8 DIEHARD_TCACHE_ADAPT=1");
-  EXPECT_EQ(R.ExitCode, 0);
-  EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
-}
-
-TEST(InterposeTest, AdaptiveTinyCacheStaysCorrect) {
-  // The smallest base with adaptation on: K starts at 1, the floor
-  // clamps at 2, growth runs 1 -> 2 -> ... -> 8 (the 8x cap). Constant
-  // boundary traffic for the grow/shrink arithmetic.
-  RunResult R = runPreloaded(
-      DIEHARD_MT_SHARD_VICTIM_PATH,
-      "DIEHARD_SHARDS=2 DIEHARD_TCACHE=1 DIEHARD_TCACHE_ADAPT=1");
+      "DIEHARD_SHARDS=4 DIEHARD_TCACHE=8 DIEHARD_SWEEPER=1 "
+      "DIEHARD_SWEEP_MS=5 DIEHARD_TCACHE_ADAPT=1 DIEHARD_THP=1 "
+      "DIEHARD_PAGE_RETURN=free");
   EXPECT_EQ(R.ExitCode, 0);
   EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
 }

@@ -108,12 +108,11 @@ TEST(MmapRegionTest, HugeReservationIsLazy) {
 // Page-return policy layer
 //===----------------------------------------------------------------------===//
 
-/// Restores the process defaults on scope exit — the policy and THP
-/// switches are process state shared by every test in the binary.
+/// Restores the process default on scope exit — the policy is process
+/// state shared by every test in the binary.
 struct PolicyDefaultsGuard {
   ~PolicyDefaultsGuard() {
     MmapRegion::setPageReturnPolicy(PageReturnPolicy::DontNeed);
-    MmapRegion::setHugePageMetadata(false);
   }
 };
 
@@ -151,52 +150,12 @@ TEST(MmapRegionTest, ReleasePageRangeIsInertWhenOff) {
   EXPECT_EQ(B[2 * Page - 1], 0x9Du);
 }
 
-TEST(MmapRegionTest, FreePolicyReleasesWithFallback) {
-  // MADV_FREE keeps pages resident (and their contents intact) until
-  // memory pressure, so contents may legitimately read back either way;
-  // what must hold: the advice covers the full range — via MADV_FREE where
-  // the kernel has it, else the detector falls back to MADV_DONTNEED —
-  // and the pages stay mapped and writable.
-  PolicyDefaultsGuard Guard;
-  MmapRegion::setPageReturnPolicy(PageReturnPolicy::Free);
-  const size_t Page = MmapRegion::pageSize();
-  MmapRegion R(2 * Page);
-  ASSERT_NE(R.base(), nullptr);
-  auto *B = static_cast<unsigned char *>(R.base());
-  std::memset(B, 0x33, 2 * Page);
-  EXPECT_EQ(MmapRegion::releasePageRange(B, 2 * Page), 2 * Page);
-  B[0] = 0x44; // A write after MADV_FREE cancels the lazy free: legal.
-  EXPECT_EQ(B[0], 0x44u);
-  EXPECT_EQ(MmapRegion::pageReturnPolicy(), PageReturnPolicy::Free);
-}
-
 TEST(MmapRegionTest, PolicyOverrideRoundTrips) {
   PolicyDefaultsGuard Guard;
   MmapRegion::setPageReturnPolicy(PageReturnPolicy::Off);
   EXPECT_EQ(MmapRegion::pageReturnPolicy(), PageReturnPolicy::Off);
-  MmapRegion::setPageReturnPolicy(PageReturnPolicy::Free);
-  EXPECT_EQ(MmapRegion::pageReturnPolicy(), PageReturnPolicy::Free);
   MmapRegion::setPageReturnPolicy(PageReturnPolicy::DontNeed);
   EXPECT_EQ(MmapRegion::pageReturnPolicy(), PageReturnPolicy::DontNeed);
-}
-
-TEST(MmapRegionTest, HugePageAdviceIsHarmless) {
-  // MADV_HUGEPAGE is a hint: with the switch on, advising a mapping must
-  // neither fail the mapping nor disturb its contents, whatever the
-  // system-wide THP setting is.
-  PolicyDefaultsGuard Guard;
-  MmapRegion::setHugePageMetadata(true);
-  EXPECT_TRUE(MmapRegion::hugePageMetadata());
-  MmapRegion R(4 << 20);
-  ASSERT_NE(R.base(), nullptr);
-  R.adviseHugePages();
-  auto *B = static_cast<unsigned char *>(R.base());
-  std::memset(B, 0x66, 4 << 20);
-  EXPECT_EQ(B[0], 0x66u);
-  EXPECT_EQ(B[(4 << 20) - 1], 0x66u);
-  MmapRegion::setHugePageMetadata(false);
-  EXPECT_FALSE(MmapRegion::hugePageMetadata());
-  R.adviseHugePages(); // Switch off: a silent no-op.
 }
 
 //===----------------------------------------------------------------------===//
@@ -322,9 +281,8 @@ TEST(MmapRegionTest, FrameScratchRebuildsAPunchedFrame) {
 
 TEST(MmapRegionTest, ReleasePagesSkipsMeshedFramesUnderEveryPolicy) {
   PolicyDefaultsGuard Guard;
-  for (PageReturnPolicy Policy :
-       {PageReturnPolicy::DontNeed, PageReturnPolicy::Free}) {
-    MmapRegion::setPageReturnPolicy(Policy);
+  {
+    MmapRegion::setPageReturnPolicy(PageReturnPolicy::DontNeed);
     MmapRegion R;
     if (!mapMeshableOrSkip(R, 4))
       GTEST_SKIP() << "no memfd support on this kernel";
