@@ -19,6 +19,13 @@
 #include <gtest/gtest.h>
 
 namespace diehard {
+
+/// Prints a preset as its name. GoogleTest's fallback dumps the raw bytes,
+/// which include std::string's heap pointer, so the listed names of the
+/// parameterized tests would change with every process's address layout.
+void PrintTo(const WorkloadParams &P, std::ostream *OS);
+void PrintTo(const WorkloadParams &P, std::ostream *OS) { *OS << P.Name; }
+
 namespace {
 
 WorkloadParams tinyWorkload(uint64_t Seed = 1) {
