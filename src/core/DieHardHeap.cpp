@@ -55,7 +55,7 @@ DieHardHeap::DieHardHeap(const DieHardOptions &Options) : Opts(Options) {
         ResolvedSeed, static_cast<uint64_t>(C) + 1, Rng::ClassStreamGamma);
     if (!Partitions[C].init(Region, ObjectSize, PartitionSize / ObjectSize,
                             Opts.M, Stream, Opts.RandomFillObjects,
-                            Opts.RandomFillOnFree)) {
+                            Opts.RandomFillOnFree, Opts.InitialActiveSlots)) {
       // Metadata mapping failed: render the heap invalid rather than
       // faulting on the first probe.
       Heap.unmap();

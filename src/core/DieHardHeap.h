@@ -53,6 +53,18 @@ struct DieHardOptions {
   /// full. M = 2 means the heap is twice the maximum live size.
   double M = 2.0;
 
+  /// Slots in each partition's first active prefix (see
+  /// RandomizedPartition). Probes draw only from the prefix, and it doubles
+  /// whenever the live count would pass its 1/M share, so a process touches
+  /// pages in proportion to its live data rather than to HeapSize (the
+  /// growing heap of Section 9). 0 makes every slot active from the start:
+  /// the paper's fixed heap, with full placement entropy from the first
+  /// allocation. The default of 256 is 2 * M * K for M = 4 and the thread
+  /// cache's K = 32, so at the shipped M = 2 one cache refill never has to
+  /// grow twice. It is a multiple of 64 so the prefix covers whole bitmap
+  /// words, and small enough that the 8-byte class starts inside one page.
+  size_t InitialActiveSlots = 256;
+
   /// RNG seed. Zero selects a truly random seed (from /dev/urandom), which
   /// is what the replicated framework wants; tests pass a fixed seed. Each
   /// partition derives its own stream from this seed.

@@ -70,7 +70,7 @@ void copyMaskedUnits(char *Dst, const char *Src, const uint64_t *Mask,
 
 size_t claimRandomSlot(Bitmap &Bits, Rng &Rand, size_t Slots,
                        uint64_t &Probes, uint64_t &Fallbacks) {
-  assert(Slots != 0 && Slots == Bits.size() && "bitmap must cover the slots");
+  assert(Slots != 0 && Slots <= Bits.size() && "bitmap must cover the slots");
   // Probe for a free slot, like probing into a hash table. Since the region
   // is at most 1/M full, the expected probe count is 1/(1 - 1/M); a bounded
   // number of random probes followed by a linear fallback guarantees
@@ -83,9 +83,9 @@ size_t claimRandomSlot(Bitmap &Bits, Rng &Rand, size_t Slots,
   }
   ++Fallbacks;
   size_t Start = Rand.nextBounded(static_cast<uint32_t>(Slots));
-  size_t Index = Bits.findNextClear(Start);
+  size_t Index = Bits.findNextClear(Start, Slots);
   if (Index == Slots)
-    Index = Bits.findNextClear(0);
+    Index = Bits.findNextClear(0, Slots);
   if (Index == Slots)
     return Slots; // Every slot taken; the 1/M threshold makes this unreachable.
   Bits.trySet(Index);
@@ -100,13 +100,20 @@ void randomFillWords(Rng &Rand, void *Ptr, size_t Bytes) {
 
 bool RandomizedPartition::init(void *RegionBase, size_t ObjectBytes,
                                size_t NumSlots, double M, uint64_t Seed,
-                               bool FillAllocate, bool FillFree) {
+                               bool FillAllocate, bool FillFree,
+                               size_t InitialActive) {
   assert(M > 1.0 && "expansion factor M must exceed 1");
   Base = static_cast<char *>(RegionBase);
   ObjectSize = ObjectBytes;
   Slots = NumSlots;
   // The region is allowed to become at most 1/M full (Section 4.1).
   Threshold = static_cast<size_t>(static_cast<double>(NumSlots) / M);
+  Expansion = M;
+  size_t FirstActive = InitialActive == 0 || InitialActive > NumSlots
+                           ? NumSlots
+                           : InitialActive;
+  Active.store(FirstActive, std::memory_order_relaxed);
+  ActiveLimit = static_cast<size_t>(static_cast<double>(FirstActive) / M);
   StreamSeed = Seed;
   FillOnAllocate = FillAllocate;
   FillOnFree = FillFree;
@@ -151,13 +158,36 @@ void RandomizedPartition::randomFill(void *Ptr, size_t Bytes) {
   randomFillWords(Rand, Ptr, Bytes);
 }
 
+void RandomizedPartition::growToFit(size_t Live) {
+  // Doubling keeps growth to O(log(Slots / initial)) steps over the
+  // partition's life, and each step at least doubles the room left under
+  // the 1/M share, so the expected probe count stays 1/(1 - 1/M) at most.
+  size_t A = Active.load(std::memory_order_relaxed);
+  while (Live > ActiveLimit && A < Slots) {
+    A = A > Slots / 2 ? Slots : A * 2;
+    ActiveLimit = static_cast<size_t>(static_cast<double>(A) / Expansion);
+  }
+  Active.store(A, std::memory_order_relaxed);
+}
+
+size_t RandomizedPartition::activeDataPages() const {
+  const size_t Page = MmapRegion::pageSize();
+  uintptr_t End = reinterpret_cast<uintptr_t>(Base) + active() * ObjectSize;
+  auto First = reinterpret_cast<uintptr_t>(FirstPage);
+  if (End <= First)
+    return 0;
+  size_t Pages = (End - First + Page - 1) / Page;
+  return Pages < NumDataPages ? Pages : NumDataPages;
+}
+
 size_t RandomizedPartition::claimCleanSlot(uint64_t &Probes,
                                            uint64_t &Fallbacks) {
+  const size_t Limit = Active.load(std::memory_order_relaxed);
   for (;;) {
     size_t Index =
-        claimRandomSlot(IsAllocated, Rand, Slots, Probes, Fallbacks);
-    if (Index == Slots)
-      return Index;
+        claimRandomSlot(IsAllocated, Rand, Limit, Probes, Fallbacks);
+    if (Index == Limit)
+      return Slots;
     // Reject a slot with an in-flight sidecar entry: that push is a stale
     // (double) free of the slot's previous life, and handing the slot out
     // now would let the next drain free the new occupant. Give the bit
@@ -172,11 +202,14 @@ size_t RandomizedPartition::claimCleanSlot(uint64_t &Probes,
 }
 
 void *RandomizedPartition::allocate() {
-  if (InUse.load(std::memory_order_relaxed) >= Threshold) {
+  size_t Live = InUse.load(std::memory_order_relaxed);
+  if (Live >= Threshold) {
     // At threshold: the 1/M bound says no more memory for this class.
     ++Stats.FailedAllocations;
     return nullptr;
   }
+  if (Live >= ActiveLimit)
+    growToFit(Live + 1);
   uint64_t Probes = 0, Fallbacks = 0;
   size_t Index = claimCleanSlot(Probes, Fallbacks);
   Stats.Probes += Probes;
@@ -222,6 +255,8 @@ size_t RandomizedPartition::claimRandomSlots(void **Out, size_t MaxCount) {
   size_t Want = Threshold - Live;
   if (Want > MaxCount)
     Want = MaxCount;
+  if (Live + Want > ActiveLimit)
+    growToFit(Live + Want);
 
   // Each claim runs the exact allocate() probe discipline, so the i-th
   // claimed slot is uniform over the slots free after the first i-1 claims
@@ -386,12 +421,16 @@ void RandomizedPartition::scanAndReleaseSpans(MaintainOutcome &Out) {
   auto First = reinterpret_cast<uintptr_t>(FirstPage);
   auto RegionBegin = reinterpret_cast<uintptr_t>(Base);
   size_t Pages = 0, Spans = 0;
+  // Only the active prefix can hold set bits or touched pages; the final
+  // free run ends at the prefix, and its inward clip keeps every released
+  // page inside it.
+  const size_t End = active();
   size_t SlotFrom = 0;
-  while (SlotFrom < Slots) {
-    size_t RunBegin = IsAllocated.findNextClear(SlotFrom);
-    if (RunBegin == Slots)
+  while (SlotFrom < End) {
+    size_t RunBegin = IsAllocated.findNextClear(SlotFrom, End);
+    if (RunBegin == End)
       break;
-    size_t RunEnd = IsAllocated.findNextSet(RunBegin);
+    size_t RunEnd = IsAllocated.findNextSet(RunBegin, End);
     SlotFrom = RunEnd;
     // Clip the free run's byte range inward to whole pages. A page
     // overlapped by any set slot (live, cache-claimed, or sidecar-pending)
@@ -525,8 +564,9 @@ size_t RandomizedPartition::buildPageMask(size_t PageIndex,
   // this one). Walk set slots from there until one starts past the page.
   size_t S0 = PB > RegionBegin ? (PB - RegionBegin) / ObjectSize : 0;
   size_t Units = 0;
-  for (size_t S = IsAllocated.findNextSet(S0); S < Slots;
-       S = IsAllocated.findNextSet(S + 1)) {
+  const size_t End = active();
+  for (size_t S = IsAllocated.findNextSet(S0, End); S < End;
+       S = IsAllocated.findNextSet(S + 1, End)) {
     uintptr_t OB = RegionBegin + S * ObjectSize;
     if (OB >= PE)
       break;
@@ -554,7 +594,8 @@ void RandomizedPartition::meshScan(MaintainOutcome &Out) {
   Candidate Cands[MaxMeshCandidates];
   size_t NumCands = 0;
   bool Rearm = false;
-  for (size_t P = 0; P < NumDataPages; ++P) {
+  const size_t ScanPages = activeDataPages();
+  for (size_t P = 0; P < ScanPages; ++P) {
     if (meshPartner(P) != 0)
       continue; // Already meshed (either side); reuse dissolves it.
     uint64_t Mask[MeshMaskWords];

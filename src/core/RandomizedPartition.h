@@ -22,6 +22,18 @@
 /// accounting, the probe/fallback placement logic of Figure 2, and the
 /// replicated-mode random-fill behaviour for its objects.
 ///
+/// The partition grows from a small *active prefix* of its slots, as the
+/// paper's Section 9 proposes ("grows memory regions dynamically as objects
+/// are allocated"). Probes and the fallback scan draw only from
+/// [0, active()); whenever a locked allocation or a cache refill would push
+/// the live count past active()/M, the prefix doubles (capped at the slot
+/// count). The refusal threshold stays slots/M, so overflow routing and the
+/// final 1/M bound are those of the fixed heap, and slot indices never
+/// move, so the bitmap, sidecar links and page summaries need no remapping.
+/// Only the pages of the prefix are ever touched, so the footprint follows
+/// the live data instead of the reservation. A prefix equal to the slot
+/// count is the paper's fixed heap.
+///
 /// Thread safety: none by itself, by design — the sharded layer wraps each
 /// partition in its own cache-line-padded lock. The live()/liveBytes()
 /// gauges are relaxed atomics so overflow routing and stats reporting may
@@ -117,19 +129,20 @@ struct PartitionStats {
                                     ///< (PagesMeshed * page size).
 };
 
-/// Claims a free slot in \p Bits: up to 64 uniform random probes, then a
-/// linear fallback scan from a random start (Figure 2's termination
-/// guarantee without measurably biasing placement). The claimed bit is set
-/// before returning. \returns the slot index, or \p Slots if every bit is
-/// set. \p Probes and \p Fallbacks are incremented in place so callers can
-/// keep their own counter domains.
+/// Claims a free slot among the first \p Slots bits of \p Bits: up to 64
+/// uniform random probes, then a linear fallback scan from a random start
+/// (Figure 2's termination guarantee without measurably biasing
+/// placement). The claimed bit is set before returning. \returns the slot
+/// index, or \p Slots if every one of those bits is set. \p Probes and
+/// \p Fallbacks are incremented in place so callers can keep their own
+/// counter domains.
 size_t claimRandomSlot(Bitmap &Bits, Rng &Rand, size_t Slots,
                        uint64_t &Probes, uint64_t &Fallbacks);
 
 /// Fills \p Bytes bytes at \p Ptr from \p Rand in 32-bit units, as in
 /// Figure 2 of the paper (the replicated-mode fill; callers pass sizes
-/// already rounded to a multiple of 4). Shared by the partitions, both
-/// heaps' large-object paths, and the adaptive heap.
+/// already rounded to a multiple of 4). Shared by the partitions and both
+/// heaps' large-object paths.
 void randomFillWords(Rng &Rand, void *Ptr, size_t Bytes);
 
 /// One size class's randomized region: bitmap, 1/M threshold, RNG stream,
@@ -144,13 +157,19 @@ public:
   /// starting at \p RegionBase, installs the 1/M threshold, and seeds the
   /// partition's RNG with \p StreamSeed (a per-class stream derived from
   /// the heap seed). \p FillOnAllocate / \p FillOnFree select the
-  /// replicated-mode random-fill behaviour (Section 3.2). \returns false if
-  /// the bitmap mapping failed, in which case the partition is unusable.
+  /// replicated-mode random-fill behaviour (Section 3.2). \p InitialActive
+  /// is the first active prefix in slots; 0 (or any value >= \p NumSlots)
+  /// makes every slot active from the start, the paper's fixed heap.
+  /// \returns false if the bitmap mapping failed, in which case the
+  /// partition is unusable.
   bool init(void *RegionBase, size_t ObjectBytes, size_t NumSlots, double M,
-            uint64_t StreamSeed, bool FillOnAllocate, bool FillOnFree);
+            uint64_t StreamSeed, bool FillOnAllocate, bool FillOnFree,
+            size_t InitialActive = 0);
 
-  /// Random-probe allocation of one object (Figure 2). \returns nullptr
-  /// when the partition is at its 1/M threshold.
+  /// Random-probe allocation of one object (Figure 2), doubling the active
+  /// prefix first if the new object would push the live count past
+  /// active()/M. \returns nullptr when the partition is at its 1/M
+  /// threshold.
   void *allocate();
 
   /// Batch claim for the thread-cache tier: claims up to \p MaxCount slots,
@@ -163,7 +182,9 @@ public:
   /// layer counts the user-visible pop). \returns the number of slots
   /// claimed: fewer than \p MaxCount when the 1/M threshold is near, 0 when
   /// the partition is saturated (without counting a FailedAllocation — the
-  /// caller decides whether the request as a whole failed).
+  /// caller decides whether the request as a whole failed). Grows the
+  /// active prefix first, like allocate(), so the whole batch fits under
+  /// active()/M.
   size_t claimRandomSlots(void **Out, size_t MaxCount);
 
   /// Returns \p Count slots previously obtained from claimRandomSlots() and
@@ -211,10 +232,12 @@ public:
   /// Epoch-maintenance entry for the background sweeper. Drains the
   /// remote-free sidecar through the validated deallocate() path (so
   /// double-free detection fires exactly as an owner drain would), then
-  /// runs the free-span scanner: every maximal run of clear bits is mapped
-  /// to the pages lying entirely inside it (a page overlapped by any
-  /// bit-set slot — live, cache-claimed, or sidecar-pending — is never
-  /// touched, which handles objects straddling page boundaries for free),
+  /// runs the free-span scanner over the active prefix (slots past it were
+  /// never handed out, so their pages were never touched): every maximal
+  /// run of clear bits is mapped to the pages lying entirely inside it
+  /// (a page overlapped by any bit-set slot — live, cache-claimed, or
+  /// sidecar-pending — is never touched, which handles objects straddling
+  /// page boundaries for free),
   /// and each not-yet-released sub-run of those pages is returned to the OS
   /// through MmapRegion::releasePageRange under the process page-return
   /// policy. Only demand-zero object pages are dropped; the bitmap, live
@@ -329,11 +352,12 @@ public:
 
   /// Visits every live object as (slot index, pointer), slot ascending.
   /// The deterministic order is what the heap-differencing debugger keys
-  /// its snapshots on.
+  /// its snapshots on. Walks only the active prefix.
   template <typename Visitor> void forEachLive(Visitor &&Visit) const {
-    for (size_t Slot = 0; Slot < IsAllocated.size(); ++Slot)
-      if (IsAllocated.test(Slot))
-        Visit(Slot, static_cast<const void *>(Base + Slot * ObjectSize));
+    const size_t End = active();
+    for (size_t Slot = IsAllocated.findNextSet(0, End); Slot < End;
+         Slot = IsAllocated.findNextSet(Slot + 1, End))
+      Visit(Slot, static_cast<const void *>(Base + Slot * ObjectSize));
   }
 
   /// Number of live objects. Relaxed-atomic gauge: safe to read without the
@@ -345,8 +369,11 @@ public:
     return LiveBytes.load(std::memory_order_relaxed);
   }
 
-  /// Fill level relative to the 1/M threshold, in [0, 1]. 1.0 means the
-  /// partition refuses further allocations. Lock-free gauge.
+  /// Fill level relative to the final 1/M threshold (slots/M, not the
+  /// active prefix's share), in [0, 1]. 1.0 means the partition refuses
+  /// further allocations. Measuring against the final threshold keeps the
+  /// sweeper's fill gate and overflow ranking exactly as for the fixed
+  /// heap. Lock-free gauge.
   double fill() const {
     return Threshold == 0
                ? 1.0
@@ -358,6 +385,12 @@ public:
 
   /// Maximum live objects allowed (the 1/M threshold).
   size_t threshold() const { return Threshold; }
+
+  /// Slots in the active prefix [0, active()): the only slots probes draw
+  /// from and the only bits that are ever set. Never shrinks; equals
+  /// slots() once fully grown (and from the start for a fixed partition).
+  /// Lock-free gauge.
+  size_t active() const { return Active.load(std::memory_order_relaxed); }
 
   /// The rounded object size this partition serves.
   size_t objectBytes() const { return ObjectSize; }
@@ -380,10 +413,19 @@ private:
   /// 32-bit units as in Figure 2 (object sizes are multiples of 8).
   void randomFill(void *Ptr, size_t Bytes);
 
+  /// Doubles the active prefix (capped at Slots) until \p Live live
+  /// objects fit under its 1/M share. Requires the partition lock.
+  void growToFit(size_t Live);
+
+  /// Number of data pages that overlap the active prefix; maintenance
+  /// scans stop there.
+  size_t activeDataPages() const;
+
   /// claimRandomSlot, then reject-and-reprobe any slot that still has an
   /// in-flight sidecar entry (a stale double free of its previous life),
   /// draining the sidecar so the stale entry is consumed harmlessly
-  /// before the slot can be reused. \returns the slot index, or Slots.
+  /// before the slot can be reused. Probes only the active prefix.
+  /// \returns the slot index, or Slots.
   size_t claimCleanSlot(uint64_t &Probes, uint64_t &Fallbacks);
 
   /// Lazily un-marks released pages the freshly claimed slot \p Index
@@ -488,6 +530,13 @@ private:
   size_t ObjectSize = 0;
   size_t Slots = 0;
   size_t Threshold = 0;
+  double Expansion = 2.0; ///< M, for the prefix's 1/M share.
+  /// The active prefix. Written only under the partition lock; relaxed so
+  /// gauges and the sweeper's pre-checks may read it lock-free.
+  std::atomic<size_t> Active{0};
+  /// floor(Active / M): live objects the prefix admits before it must
+  /// grow (Threshold once fully grown). Read and written under the lock.
+  size_t ActiveLimit = 0;
   uint64_t StreamSeed = 0;
   bool FillOnAllocate = false;
   bool FillOnFree = false;

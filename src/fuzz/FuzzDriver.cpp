@@ -674,16 +674,20 @@ private:
   // --- invariant checks ----------------------------------------------------
 
   void periodicChecks() {
-    // The 1/M bound, partition by partition (Section 3.1): claimed cache
-    // slots count as live, so the bound covers the cache tier too.
+    // The 1/M bound, partition by partition (Section 3.1), against the
+    // active prefix the partition has grown to so far (at most the final
+    // slots/M threshold): claimed cache slots count as live, so the bound
+    // covers the cache tier too.
+    const double M = Heap.options().Heap.M;
     for (size_t S = 0; S < Heap.numShards(); ++S)
       for (int C = 0; C < DieHardHeap::NumPartitions; ++C) {
-        size_t InUse = Heap.shard(S).liveInClass(C);
-        size_t Bound = Heap.shard(S).thresholdForClass(C);
+        const RandomizedPartition &P = Heap.shard(S).partition(C);
+        size_t InUse = P.live();
+        auto Bound = static_cast<size_t>(static_cast<double>(P.active()) / M);
         if (InUse > Bound) {
           fail("1/M bound exceeded: shard " + std::to_string(S) +
                " class " + std::to_string(C) + " has " +
-               std::to_string(InUse) + " live > threshold " +
+               std::to_string(InUse) + " live > active/M " +
                std::to_string(Bound));
           return;
         }

@@ -14,11 +14,11 @@
 /// Configuration via the environment:
 ///   DIEHARD_HEAP_SIZE   heap reservation in bytes (default 384 MB),
 ///                       reserved per shard and committed lazily. Probes
-///                       are uniform over each class's whole region
-///                       (32 MB at the default), so a few million
-///                       allocations touch every page of every class in
-///                       use: a two-thread larson run holding under 1 MB
-///                       live peaks at ~480 MB RSS and keeps it.
+///                       draw from each class's active prefix, which
+///                       doubles as live data demands (up to the class's
+///                       whole 32 MB region at the default), so touched
+///                       pages follow the live set: a two-thread larson
+///                       run holding under 1 MB live peaks at ~16 MB RSS.
 ///   DIEHARD_M           expansion factor M (default 2)
 ///   DIEHARD_SEED        RNG seed; 0 or unset = truly random per process
 ///   DIEHARD_SHARDS      heap shard count; unset/0 = one per CPU, clamped to

@@ -24,8 +24,8 @@ size_t Bitmap::count() const {
   return Total;
 }
 
-size_t Bitmap::findNextClear(size_t From) const {
-  for (size_t Index = From; Index < Bits; ++Index) {
+size_t Bitmap::findNextClear(size_t From, size_t Limit) const {
+  for (size_t Index = From; Index < Limit; ++Index) {
     size_t WordIndex = Index / BitsPerWord;
     uint64_t Word = words()[WordIndex];
     // Skip fully-set words quickly.
@@ -36,11 +36,11 @@ size_t Bitmap::findNextClear(size_t From) const {
     if (!((Word >> (Index % BitsPerWord)) & 1))
       return Index;
   }
-  return Bits;
+  return Limit;
 }
 
-size_t Bitmap::findNextSet(size_t From) const {
-  for (size_t Index = From; Index < Bits; ++Index) {
+size_t Bitmap::findNextSet(size_t From, size_t Limit) const {
+  for (size_t Index = From; Index < Limit; ++Index) {
     size_t WordIndex = Index / BitsPerWord;
     uint64_t Word = words()[WordIndex];
     // Skip fully-clear words quickly.
@@ -51,7 +51,7 @@ size_t Bitmap::findNextSet(size_t From) const {
     if ((Word >> (Index % BitsPerWord)) & 1)
       return Index;
   }
-  return Bits;
+  return Limit;
 }
 
 } // namespace diehard

@@ -103,16 +103,18 @@ public:
   /// Returns the number of set bits.
   size_t count() const;
 
-  /// Returns the index of the first clear bit at or after \p From, or
-  /// size() if every bit from \p From onward is set. Used as the fallback
-  /// linear probe when random probing is unlucky.
-  size_t findNextClear(size_t From) const;
+  /// Returns the index of the first clear bit in [\p From, \p Limit), or
+  /// \p Limit if every bit there is set. Used as the fallback linear probe
+  /// when random probing is unlucky. \p Limit must not exceed size().
+  size_t findNextClear(size_t From, size_t Limit) const;
+  size_t findNextClear(size_t From) const { return findNextClear(From, Bits); }
 
-  /// Returns the index of the first set bit at or after \p From, or size()
-  /// if every bit from \p From onward is clear. Together with
-  /// findNextClear this enumerates the maximal free runs the page-return
-  /// span scanner releases.
-  size_t findNextSet(size_t From) const;
+  /// Returns the index of the first set bit in [\p From, \p Limit), or
+  /// \p Limit if every bit there is clear. Together with findNextClear
+  /// this enumerates the maximal free runs the page-return span scanner
+  /// releases. \p Limit must not exceed size().
+  size_t findNextSet(size_t From, size_t Limit) const;
+  size_t findNextSet(size_t From) const { return findNextSet(From, Bits); }
 
 private:
   static constexpr size_t BitsPerWord = 64;

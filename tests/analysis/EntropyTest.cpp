@@ -48,6 +48,7 @@ TEST(EntropyTest, DieHardPlacementIsHighEntropy) {
   // the class's slots, so entropy ~ log2(slots) (capped by sample count).
   DieHardOptions O;
   O.HeapSize = 12 * SizeClass::MaxObjectSize * 8;
+  O.InitialActiveSlots = 0; // Entropy of the whole region, not the prefix.
   EntropyEstimate E = estimatePlacementEntropy(
       [&](uint64_t Seed) {
         DieHardOptions Local = O;

@@ -113,6 +113,7 @@ TEST(HeapRealizesTheorems, DanglingSurvivalMatchesTheorem2) {
   DieHardOptions O;
   O.HeapSize = 12 * SizeClass::MaxObjectSize * 8; // Small heap: few slots.
   O.M = 2.0;
+  O.InitialActiveSlots = 0; // The closed form assumes the whole region.
   for (int T = 0; T < Trials; ++T) {
     O.Seed = static_cast<uint64_t>(T) * 2654435761u + 1;
     DieHardHeap H(O);
@@ -158,6 +159,7 @@ TEST(HeapRealizesTheorems, OverflowHitRateTracksFullness) {
     int Hits = 0;
     DieHardOptions O;
     O.HeapSize = 12 * SizeClass::MaxObjectSize * 8;
+    O.InitialActiveSlots = 0; // Fill is measured against the whole region.
     for (int T = 0; T < Trials; ++T) {
       O.Seed = static_cast<uint64_t>(T) * 40503u + 7;
       DieHardHeap H(O);

@@ -34,10 +34,10 @@ struct PartitionFixture {
 
   PartitionFixture(size_t ObjectSize, size_t Slots, double M = 2.0,
                    uint64_t Seed = 42, bool FillOnAllocate = false,
-                   bool FillOnFree = false) {
+                   bool FillOnFree = false, size_t InitialActive = 0) {
     EXPECT_TRUE(Region.map(ObjectSize * Slots));
     EXPECT_TRUE(Partition.init(Region.base(), ObjectSize, Slots, M, Seed,
-                               FillOnAllocate, FillOnFree));
+                               FillOnAllocate, FillOnFree, InitialActive));
   }
 };
 
@@ -603,6 +603,63 @@ TEST(RandomizedPartitionTest, ClaimedSlotsPinTheirPages) {
   EXPECT_EQ(Out.PagesReturned, 4u)
       << "reclaimed slots free their pages for the next scan";
   EXPECT_EQ(F.Partition.releasedPages(), 16u);
+}
+
+TEST(RandomizedPartitionTest, GrowthKeepsPlacementInsideThePrefix) {
+  // A 64-slot prefix of 1024 at M=2: a 48-slot batch claim must double the
+  // prefix exactly once before probing, every claimed slot must lie inside
+  // it, and refusal must come only at the final slots/M threshold, with
+  // the prefix grown to the whole region by then.
+  PartitionFixture F(64, 1024, 2.0, 5, false, false, 64);
+  EXPECT_EQ(F.Partition.active(), 64u);
+  EXPECT_EQ(F.Partition.threshold(), 512u);
+  void *Batch[48];
+  ASSERT_EQ(F.Partition.claimRandomSlots(Batch, 48), 48u);
+  EXPECT_EQ(F.Partition.active(), 128u);
+  for (void *P : Batch)
+    EXPECT_LT(slotOf(F, P), 128u);
+
+  size_t Served = 48;
+  while (void *P = F.Partition.allocate()) {
+    ASSERT_LT(slotOf(F, P), F.Partition.active());
+    ASSERT_LE(F.Partition.live(), F.Partition.active() / 2);
+    ++Served;
+  }
+  EXPECT_EQ(Served, 512u) << "refused only at the final 1/M threshold";
+  EXPECT_EQ(F.Partition.active(), 1024u);
+  EXPECT_EQ(F.Partition.stats().FailedAllocations, 1u);
+}
+
+TEST(RandomizedPartitionTest, SpanScannerStopsAtTheActivePrefix) {
+  // A partition that has grown once (200 -> 400 slots of 64 bytes, so the
+  // prefix ends 1/4 into page 6 of 16) must release only pages lying
+  // wholly inside the prefix. Every page is dirtied with a marker first;
+  // MADV_DONTNEED would zero a released page, so a surviving marker on
+  // pages 6..15 proves the sweep never advised them away.
+  PolicyGuard Guard(PageReturnPolicy::DontNeed);
+  const size_t Page = MmapRegion::pageSize();
+  ASSERT_EQ(Page, 4096u) << "the geometry below assumes 4 KiB pages";
+  PartitionFixture F(64, 1024, 2.0, 11, false, false, 200);
+  std::vector<void *> Held;
+  for (int I = 0; I < 101; ++I) {
+    void *P = F.Partition.allocate();
+    ASSERT_NE(P, nullptr);
+    Held.push_back(P);
+  }
+  ASSERT_EQ(F.Partition.active(), 400u) << "grown exactly once";
+  for (void *P : Held)
+    ASSERT_TRUE(F.Partition.deallocate(P));
+  auto *Base = static_cast<char *>(F.Region.base());
+  for (size_t Pg = 0; Pg < 16; ++Pg)
+    Base[Pg * Page + Page - 1] = 0x5A;
+
+  RandomizedPartition::MaintainOutcome Out = F.Partition.maintain();
+  const size_t PrefixPages = 400 * 64 / Page; // Whole pages: 0..5.
+  EXPECT_EQ(Out.PagesReturned, PrefixPages);
+  EXPECT_EQ(F.Partition.releasedPages(), PrefixPages);
+  for (size_t Pg = 0; Pg < 16; ++Pg)
+    EXPECT_EQ(Base[Pg * Page + Page - 1], Pg < PrefixPages ? 0 : 0x5A)
+        << "page " << Pg;
 }
 
 } // namespace

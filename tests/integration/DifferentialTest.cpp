@@ -13,7 +13,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "baselines/AdaptiveAllocator.h"
 #include "baselines/DieHardAllocator.h"
 #include "baselines/GcAllocator.h"
 #include "baselines/LeaAllocator.h"
@@ -26,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 namespace diehard {
@@ -189,6 +189,13 @@ struct DifferentialCase {
   size_t MaxSize;
 };
 
+/// Prints a case by name, so the parameterized test names GoogleTest
+/// registers are stable (its default prints the struct's raw bytes, which
+/// include the std::function's heap pointers).
+void PrintTo(const DifferentialCase &Case, std::ostream *OS) {
+  *OS << Case.Name;
+}
+
 class AllocatorDifferential
     : public ::testing::TestWithParam<DifferentialCase> {};
 
@@ -232,11 +239,11 @@ INSTANTIATE_TEST_SUITE_P(
                                diffHeapOptions());
                          },
                          48 * 1024},
-        DifferentialCase{"adaptive",
+        DifferentialCase{"diehard_fixed",
                          [] {
-                           AdaptiveOptions O;
-                           O.Seed = 0xD1FF;
-                           return std::make_unique<AdaptiveAllocator>(O);
+                           DieHardOptions O = diffHeapOptions();
+                           O.InitialActiveSlots = 0;
+                           return std::make_unique<DieHardAllocator>(O);
                          },
                          8192},
         DifferentialCase{"lea",

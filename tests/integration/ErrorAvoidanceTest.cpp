@@ -53,6 +53,7 @@ TEST(ErrorAvoidanceIntegration, WorkloadSurvivesHeavyDanglingInjection) {
 
   DieHardOptions O;
   O.HeapSize = size_t(1024) * 1024 * 1024;
+  O.InitialActiveSlots = 0; // The slot counts above are the whole region.
   O.Seed = 3;
   DieHardAllocator TraceInner(O);
   TraceAllocator Tracer(TraceInner);
@@ -86,6 +87,7 @@ TEST(ErrorAvoidanceIntegration, WorkloadSurvivesOverflowInjection) {
 
   DieHardOptions O;
   O.HeapSize = 256 * 1024 * 1024;
+  O.InitialActiveSlots = 0; // Masking odds of the whole, sparse region.
   O.Seed = 4;
   DieHardAllocator TraceInner(O);
   TraceAllocator Tracer(TraceInner);
@@ -116,6 +118,7 @@ TEST(ErrorAvoidanceIntegration, OverflowMaskingRateTracksTheorem1) {
   for (int T = 0; T < Trials; ++T) {
     DieHardOptions O;
     O.HeapSize = 12 * SizeClass::MaxObjectSize * 8;
+    O.InitialActiveSlots = 0; // "1/8 full" is of the whole region.
     O.Seed = static_cast<uint64_t>(T) * 131 + 1;
     DieHardHeap H(O);
     int C = SizeClass::sizeToClass(64);

@@ -195,6 +195,23 @@ TEST(BitmapTest, FindNextSetAndClearEnumerateRuns) {
   EXPECT_EQ(B.findNextSet(200), 300u);  // Run [200, 300).
 }
 
+TEST(BitmapTest, SearchesStopAtTheLimit) {
+  // A partition's active prefix bounds its searches: nothing at or past
+  // the limit is reported, even inside the same word, and a miss returns
+  // the limit rather than size().
+  Bitmap B(256);
+  for (size_t I = 0; I < 100; ++I)
+    B.trySet(I);
+  B.trySet(150);
+  EXPECT_EQ(B.findNextClear(0, 100), 100u) << "all set below the limit";
+  EXPECT_EQ(B.findNextClear(0, 101), 100u);
+  EXPECT_EQ(B.findNextClear(10, 64), 64u) << "full word, limit on its edge";
+  EXPECT_EQ(B.findNextSet(100, 150), 150u) << "bit 150 is past the limit";
+  EXPECT_EQ(B.findNextSet(100, 151), 150u);
+  EXPECT_EQ(B.findNextSet(151, 256), 256u);
+  EXPECT_EQ(B.findNextSet(200, 120), 120u) << "From past the limit";
+}
+
 TEST(BitmapTest, ResetClearsAndResizes) {
   Bitmap B(10);
   B.trySet(3);
