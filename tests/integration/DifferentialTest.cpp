@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <vector>
 
 namespace diehard {
@@ -188,13 +187,6 @@ struct DifferentialCase {
   std::function<std::unique_ptr<Allocator>()> Make;
   size_t MaxSize;
 };
-
-/// Prints a case by name, so the parameterized test names GoogleTest
-/// registers are stable (its default prints the struct's raw bytes, which
-/// include the std::function's heap pointers).
-void PrintTo(const DifferentialCase &Case, std::ostream *OS) {
-  *OS << Case.Name;
-}
 
 class AllocatorDifferential
     : public ::testing::TestWithParam<DifferentialCase> {};
