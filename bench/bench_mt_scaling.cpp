@@ -266,7 +266,7 @@ int main(int argc, char **argv) {
 
   // Scenario 4: the background epoch sweeper off vs on over the cached
   // sharded configuration. The sweeper periodically drains sidecars, ages
-  // quiet caches and publishes the pressure table; under a steady-state
+  // quiet caches and returns free pages; under a steady-state
   // churn storm every thread stays active, so its cost here is pure
   // overhead — the interesting result is how close on/off stays to 1.0x
   // (the maintenance thread must not tax the fast path).

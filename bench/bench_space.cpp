@@ -31,14 +31,6 @@
 /// anything), bursts, frees, and idles — across the page-return policies
 /// (off / dontneed) and the sweeper switch.
 ///
-/// A fourth table is the meshing scenario: a 64-byte churn that strands
-/// one or two live objects on nearly every data page of the partition.
-/// No page is object-free, so partial return reclaims ~0% — this is the
-/// fragmentation shape DIEHARD_MESH exists for. The table crosses
-/// meshing off/on; with it on, the sweeper's mesh passes pair pages with
-/// disjoint slot masks and remap them onto shared physical frames, and
-/// idle RSS falls even though every virtual page still holds live data.
-///
 /// After the tables the bench emits one line starting with "JSON: " —
 /// the machine-readable summary CI archives and diffs against the
 /// committed baseline (BENCH_space.json) via tools/bench_compare.py.
@@ -235,84 +227,6 @@ void churnTimeline(ChurnSample &S) {
   ::waitpid(Pid, &Status, 0);
 }
 
-/// One row of the meshing table: the DIEHARD_MESH switch and the RSS
-/// trajectory of the fragmentation-heavy scenario under it.
-struct MeshSample {
-  const char *Name = "";
-  bool Meshing = false;
-  long Start = 0;  ///< KB, heap mapped, before the burst.
-  long Burst = 0;  ///< KB, ~98k live 64-byte objects.
-  long Freed = 0;  ///< KB, right after freeing 15 of every 16.
-  long Idle = 0;   ///< KB, after an idle tail of many mesh passes.
-  unsigned long long PagesMeshed = 0; ///< Donor pages remapped away.
-};
-
-/// Runs the fragmentation-heavy scenario in a forked child: burst ~98k
-/// 64-byte objects (filling the partition's data pages about 24 objects
-/// deep), free all but every 16th, then idle. The stranded survivors
-/// average 1-2 live objects per 4 KB page, so partial page return finds
-/// almost nothing object-free — only meshing's disjoint-mask pair remaps
-/// can shed the sparse pages' frames.
-void fragTimeline(MeshSample &S) {
-  int Fds[2];
-  if (::pipe(Fds) != 0)
-    return;
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(Fds[0]);
-    ::close(Fds[1]);
-    return;
-  }
-  if (Pid == 0) {
-    ::close(Fds[0]);
-    {
-      ShardedHeapOptions O;
-      O.Heap.HeapSize = 192 * 1024 * 1024;
-      O.Heap.Seed = 0x5BACE;
-      O.Heap.Meshing = S.Meshing;
-      O.NumShards = 1;
-      O.ThreadCacheSlots = 0;
-      O.Sweeper = true;
-      O.SweepIntervalMs = 5;
-      ShardedHeap Heap(O);
-      S.Start = currentRssKb();
-      std::vector<void *> Objects;
-      Objects.reserve(98304);
-      for (int I = 0; I < 98304; ++I) {
-        void *P = Heap.allocate(64);
-        if (P == nullptr)
-          break;
-        std::memset(P, 0x5A, 64);
-        Objects.push_back(P);
-      }
-      S.Burst = currentRssKb();
-      for (size_t I = 0; I < Objects.size(); ++I)
-        if (I % 16 != 0)
-          Heap.deallocate(Objects[I]);
-      S.Freed = currentRssKb();
-      // Idle tail: enough sweep epochs for the pair-capped mesh passes
-      // (snapshot pass, then remap pass, 64 pairs each) to work through
-      // every quiet page of the partition.
-      ::usleep(800 * 1000);
-      S.Idle = currentRssKb();
-      S.PagesMeshed = Heap.pagesMeshed();
-      for (size_t I = 0; I < Objects.size(); I += 16)
-        Heap.deallocate(Objects[I]);
-    }
-    (void)!::write(Fds[1], &S, sizeof(S));
-    ::close(Fds[1]);
-    ::_exit(0);
-  }
-  ::close(Fds[1]);
-  MeshSample Filled = S;
-  if (::read(Fds[0], &Filled, sizeof(Filled)) ==
-      static_cast<ssize_t>(sizeof(Filled)))
-    S = Filled;
-  ::close(Fds[0]);
-  int Status = 0;
-  ::waitpid(Pid, &Status, 0);
-}
-
 /// Accumulates every measurement for the trailing JSON summary.
 std::string JsonRows;
 
@@ -438,35 +352,6 @@ int main() {
               "page-return-off (span scanner returns object-free pages of\n"
               "partitions that are still live).\n",
               Shed);
-
-  // Meshing: strand 1-2 live 64 B objects on nearly every data page, so
-  // no page is object-free and partial return reclaims ~0%. Only the
-  // mesh passes' disjoint-mask pair remaps can shed frames here.
-  std::printf("\npage meshing under fragmentation "
-              "(1-2 live 64 B objects per page)\n");
-  bench::printRule();
-  std::printf("%-14s %9s %9s %9s %9s %11s\n", "config", "start KB",
-              "burst KB", "freed KB", "idle KB", "pages meshed");
-  bench::printRule();
-  MeshSample MeshOff{"mesh-off", false};
-  MeshSample MeshOn{"mesh-on", true};
-  fragTimeline(MeshOff);
-  fragTimeline(MeshOn);
-  for (const MeshSample &S : {MeshOff, MeshOn}) {
-    std::printf("%-14s %9ld %9ld %9ld %9ld %11llu\n", S.Name, S.Start,
-                S.Burst, S.Freed, S.Idle, S.PagesMeshed);
-    recordJson("frag_idle", S.Name, S.Idle);
-  }
-  bench::printRule();
-  double MeshCut =
-      MeshOff.Idle > 0
-          ? 100.0 * (MeshOff.Idle - MeshOn.Idle) / MeshOff.Idle
-          : 0.0;
-  std::printf("meshing cut idle RSS %.0f%% (%llu donor pages remapped onto\n"
-              "survivors' frames and their own frames punched out; virtual\n"
-              "addresses, bitmaps, and the 1/M bound are untouched — only\n"
-              "the physical backing is compacted).\n",
-              MeshCut, MeshOn.PagesMeshed);
 
   std::printf("\nJSON: {\"bench\":\"space\",\"lower_is_better\":true,"
               "\"unit\":\"kb\",\"results\":[%s]}\n",

@@ -34,15 +34,7 @@ DieHardHeap::DieHardHeap(const DieHardOptions &Options) : Opts(Options) {
   if (PartitionSize == 0)
     return; // Heap too small to be usable; isValid() stays false.
 
-  // Meshing wants the memfd-backed shared mapping; random-fill modes are
-  // incompatible (a meshed donor's punched frame refaults zero), and a
-  // kernel without memfd falls back to the ordinary private mapping with
-  // meshing off — never an unusable heap.
-  bool WantMesh = Opts.Meshing && !Opts.RandomFillObjects &&
-                  !Opts.RandomFillOnFree && !Opts.RandomFillHeapOnInit;
-  bool HaveMesh =
-      WantMesh && Heap.mapMeshable(PartitionSize * SizeClass::NumClasses);
-  if (!HaveMesh && !Heap.map(PartitionSize * SizeClass::NumClasses))
+  if (!Heap.map(PartitionSize * SizeClass::NumClasses))
     return;
 
   for (int C = 0; C < NumPartitions; ++C) {
@@ -61,10 +53,6 @@ DieHardHeap::DieHardHeap(const DieHardOptions &Options) : Opts(Options) {
       Heap.unmap();
       return;
     }
-    // Classes whose objects span whole pages refuse the binding (their
-    // page masks are always full) — meshing is active if anyone accepted.
-    if (HaveMesh && Partitions[C].bindMeshBacking(&Heap))
-      MeshingActive = true;
   }
 
   // REPLICATED (Figure 2): fill the whole heap with random values.
@@ -151,9 +139,6 @@ void addPartitionStats(DieHardStats &Total, const RandomizedPartition &P) {
   Total.PagesReturned += PS.PagesReturned;
   Total.PartialReturns += PS.PartialReturns;
   Total.SpansReleased += PS.SpansReleased;
-  Total.MeshCandidates += PS.MeshCandidates;
-  Total.PagesMeshed += PS.PagesMeshed;
-  Total.MeshedBytes += PS.MeshedBytes;
   // Push-time rejects are double/invalid frees the sidecar refused; they
   // never reach a partition's IgnoredFrees counter, so fold them here.
   Total.IgnoredFrees += P.remoteFreeRejects();

@@ -87,15 +87,6 @@ struct DieHardOptions {
   /// maximal detection (the paper enables it only in replicated mode).
   bool RandomFillHeapOnInit = false;
 
-  /// Page meshing: back the reservation with a memfd (MAP_SHARED) so the
-  /// sweeper's maintain() passes can remap pairs of sparse pages with
-  /// disjoint occupancy onto one physical frame — RSS drops, every
-  /// virtual address, bitmap bit, and validation path is untouched.
-  /// Incompatible with the random-fill options (a meshed frame's punch
-  /// refaults zero) — the constructor ignores Meshing when any fill
-  /// option is set, and falls back to a private mapping (meshing off,
-  /// heap fully functional) when the kernel lacks memfd support.
-  bool Meshing = false;
 };
 
 /// Running counters describing heap behaviour; used by tests, benches, and
@@ -147,12 +138,6 @@ struct DieHardStats {
                                      ///< pages from a partition.
   uint64_t SpansReleased = 0;        ///< Contiguous page runs advised away
                                      ///< (one madvise call each).
-  uint64_t MeshCandidates = 0;       ///< Disjoint page pairs found by mesh
-                                     ///< scans (attempted meshes).
-  uint64_t PagesMeshed = 0;          ///< Donor pages remapped onto a
-                                     ///< survivor's physical frame.
-  uint64_t MeshedBytes = 0;          ///< Physical bytes reclaimed by
-                                     ///< meshing.
 };
 
 /// Folds one partition's counters into \p Total: the PartitionStats
@@ -293,12 +278,6 @@ public:
   /// The heap options this instance was built with.
   const DieHardOptions &options() const { return Opts; }
 
-  /// True when the reservation is memfd-backed and at least one partition
-  /// accepted mesh binding — i.e. maintain() passes may actually mesh.
-  /// False when Meshing was requested but the kernel refused memfd (the
-  /// constructor fell back to a private mapping).
-  bool meshingActive() const { return MeshingActive; }
-
   /// Behaviour counters, aggregated across the partitions and the
   /// large-object path. Not synchronized: call single-threaded or use the
   /// sharded layer's locked aggregation.
@@ -325,7 +304,6 @@ private:
   Rng Rand; ///< Heap-level stream: init fill and large-object fill only.
   MmapRegion Heap;
   size_t PartitionSize = 0; ///< Bytes per size-class partition.
-  bool MeshingActive = false; ///< Meshable backing up and bound.
 
   RandomizedPartition Partitions[NumPartitions];
 

@@ -14,59 +14,8 @@
 #include "core/RandomizedPartition.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace diehard {
-
-namespace {
-
-/// FNV-1a over the mask words. Never returns 0 — that is the "no snapshot
-/// yet" sentinel in the per-page snapshot table.
-uint64_t hashMask(const uint64_t *Mask, size_t Words) {
-  uint64_t H = 1469598103934665603ull;
-  for (size_t W = 0; W < Words; ++W) {
-    H ^= Mask[W];
-    H *= 1099511628211ull;
-  }
-  return H == 0 ? 1 : H;
-}
-
-/// Copies every 8-byte unit whose mask bit is set, same offsets in \p Dst
-/// and \p Src, one memcpy per maximal run of set bits.
-///
-/// Not TSan-instrumented: the mesh copy is ordered against client writes
-/// by the write-quiescence guard — `mprotect(PROT_READ)` on the donor
-/// before the copy makes any later write fault and spin, and the kernel's
-/// page-table update orders earlier writes before the copy's reads. That
-/// is real synchronization TSan cannot model (no atomics involved), so
-/// under TSan the copy runs as plain un-instrumented loads/stores (the
-/// memcpy interceptor would re-introduce the false report).
-#if defined(__SANITIZE_THREAD__)
-__attribute__((no_sanitize("thread")))
-void copyMaskedUnits(char *Dst, const char *Src, const uint64_t *Mask,
-                     size_t Words) {
-  for (size_t U = 0; U < Words * 64; ++U)
-    if (((Mask[U / 64] >> (U % 64)) & 1) != 0)
-      reinterpret_cast<uint64_t *>(Dst)[U] =
-          reinterpret_cast<const uint64_t *>(Src)[U];
-}
-#else
-void copyMaskedUnits(char *Dst, const char *Src, const uint64_t *Mask,
-                     size_t Words) {
-  for (size_t U = 0; U < Words * 64;) {
-    if (((Mask[U / 64] >> (U % 64)) & 1) == 0) {
-      ++U;
-      continue;
-    }
-    size_t RunBegin = U;
-    while (U < Words * 64 && ((Mask[U / 64] >> (U % 64)) & 1) != 0)
-      ++U;
-    std::memcpy(Dst + RunBegin * 8, Src + RunBegin * 8, (U - RunBegin) * 8);
-  }
-}
-#endif
-
-} // namespace
 
 size_t claimRandomSlot(Bitmap &Bits, Rng &Rand, size_t Slots,
                        uint64_t &Probes, uint64_t &Fallbacks) {
@@ -170,16 +119,6 @@ void RandomizedPartition::growToFit(size_t Live) {
   Active.store(A, std::memory_order_relaxed);
 }
 
-size_t RandomizedPartition::activeDataPages() const {
-  const size_t Page = MmapRegion::pageSize();
-  uintptr_t End = reinterpret_cast<uintptr_t>(Base) + active() * ObjectSize;
-  auto First = reinterpret_cast<uintptr_t>(FirstPage);
-  if (End <= First)
-    return 0;
-  size_t Pages = (End - First + Page - 1) / Page;
-  return Pages < NumDataPages ? Pages : NumDataPages;
-}
-
 size_t RandomizedPartition::claimCleanSlot(uint64_t &Probes,
                                            uint64_t &Fallbacks) {
   const size_t Limit = Active.load(std::memory_order_relaxed);
@@ -218,28 +157,16 @@ void *RandomizedPartition::allocate() {
     ++Stats.FailedAllocations;
     return nullptr;
   }
-  // One relaxed load is the meshing tax on the hot path; the unmesh walk
-  // runs only while donor pages are actually meshed away.
-  if (MeshedCount.load(std::memory_order_relaxed) != 0 &&
-      !unmeshForSlot(Index)) {
-    // The slot's page could not be unmeshed. Writing a fresh object there
-    // would land on the shared frame and corrupt the partner page's live
-    // bytes, so give the slot back and refuse the request.
-    IsAllocated.tryClear(Index);
-    ++Stats.FailedAllocations;
-    return nullptr;
-  }
   InUse.fetch_add(1, std::memory_order_relaxed);
   ++Stats.Allocations;
   LiveBytes.fetch_add(ObjectSize, std::memory_order_relaxed);
   // One relaxed load is all the hot path pays for partial page return; the
   // per-page bookkeeping runs only while released pages actually exist.
-  // Measured when meshing landed: with the summary fully populated the
-  // alloc/free pair costs the same ns/op as with the gate short-circuiting
-  // (deltas within run noise, min-of-runs identical), so the clearing
-  // stays here rather than deferring to the sweeper — deferral would need
-  // a pending-clear queue whose bookkeeping costs more than the two bit
-  // flips it saves.
+  // Measured: with the summary fully populated the alloc/free pair costs
+  // the same ns/op as with the gate short-circuiting (deltas within run
+  // noise, min-of-runs identical), so the clearing stays here rather than
+  // deferring to the sweeper — deferral would need a pending-clear queue
+  // whose bookkeeping costs more than the two bit flips it saves.
   if (ReleasedPages.load(std::memory_order_relaxed) != 0)
     clearReleasedForSlot(Index);
   char *Ptr = Base + Index * ObjectSize;
@@ -267,13 +194,6 @@ size_t RandomizedPartition::claimRandomSlots(void **Out, size_t MaxCount) {
     size_t Index = claimCleanSlot(Probes, Fallbacks);
     if (Index == Slots)
       break; // Unreachable below the threshold; stay defensive.
-    if (MeshedCount.load(std::memory_order_relaxed) != 0 &&
-        !unmeshForSlot(Index)) {
-      // See allocate(): a slot on a page that cannot be unmeshed must not
-      // be handed out. End the batch with what was claimed so far.
-      IsAllocated.tryClear(Index);
-      break;
-    }
     if (ReleasedPages.load(std::memory_order_relaxed) != 0)
       clearReleasedForSlot(Index);
     Out[N++] = Base + Index * ObjectSize;
@@ -448,20 +368,17 @@ void RandomizedPartition::scanAndReleaseSpans(MaintainOutcome &Out) {
       RunPagesEnd = NumDataPages;
     // Advise each maximal sub-run of not-yet-released pages in one call.
     // The summary keeps the scan idempotent per span: an idle partition's
-    // next sweep finds every bit set and issues no syscall. Meshed pages
-    // are filtered here so ranges handed to releaseDataPages() contain
-    // none (the released-bit accounting below relies on a prefix release)
-    // — a fully-dead meshed pair keeps its one frame resident until reuse
-    // dissolves the mesh, after which these scans reclaim it normally.
+    // next sweep finds every bit set and issues no syscall.
     while (P < RunPagesEnd) {
-      while (P < RunPagesEnd && (releasedBit(P) || meshedDataPage(P)))
+      while (P < RunPagesEnd && releasedBit(P))
         ++P;
       size_t SubBegin = P;
-      while (P < RunPagesEnd && !releasedBit(P) && !meshedDataPage(P))
+      while (P < RunPagesEnd && !releasedBit(P))
         ++P;
       if (P == SubBegin)
         continue;
-      size_t Bytes = releaseDataPages(SubBegin, P - SubBegin);
+      size_t Bytes = MmapRegion::releasePageRange(FirstPage + SubBegin * Page,
+                                                  (P - SubBegin) * Page);
       if (Bytes == 0)
         continue; // Policy off or the kernel refused: nothing to record.
       size_t N = Bytes / Page;
@@ -498,264 +415,7 @@ RandomizedPartition::MaintainOutcome RandomizedPartition::maintain() {
       LastScanFreeStamp.store(Stamp, std::memory_order_relaxed);
     }
   }
-  // Page meshing, same free-stamp gating — plus the armed flag, which a
-  // scan sets when it saw pages whose occupancy changed since the last
-  // pass: the quiet-page criterion needs two consecutive identical
-  // observations, so one more pass may pair what this one only snapshot.
-  if (MeshBacking != nullptr && NumDataPages != 0) {
-    uint64_t Stamp = Stats.Frees + Stats.ReturnedSlots;
-    if (MeshArmed.load(std::memory_order_relaxed) ||
-        Stamp != LastMeshFreeStamp.load(std::memory_order_relaxed)) {
-      meshScan(Out);
-      LastMeshFreeStamp.store(Stamp, std::memory_order_relaxed);
-    }
-  }
   return Out;
-}
-
-bool RandomizedPartition::bindMeshBacking(MmapRegion *Backing) {
-  const size_t Page = MmapRegion::pageSize();
-  // Meshing preconditions: a meshable backing covering our data pages, no
-  // replica random fill (a punched frame refaults zero, destroying the
-  // pre-randomized contents; and fill-on-free writes object bytes under
-  // the partition lock, which meshing's copy discipline excludes), masks
-  // sized for the system page, and a class whose page masks can ever be
-  // disjoint — an object size of a page or more fills every mask it
-  // touches, so such classes simply never mesh.
-  if (Backing == nullptr || !Backing->meshable() || NumDataPages == 0 ||
-      FillOnAllocate || FillOnFree || ObjectSize >= Page ||
-      Page / 8 / 64 > MeshMaskWords || !Backing->contains(FirstPage))
-    return false;
-  if (!MeshPartners.map(NumDataPages * sizeof(uint32_t)))
-    return false;
-  if (!MeshSnapshots.map(NumDataPages * sizeof(uint64_t))) {
-    MeshPartners.unmap();
-    return false;
-  }
-  MeshPageBase =
-      static_cast<size_t>(FirstPage -
-                          static_cast<char *>(Backing->base())) /
-      Page;
-  MeshedCount.store(0, std::memory_order_relaxed);
-  MeshArmed.store(false, std::memory_order_relaxed);
-  LastMeshFreeStamp.store(0, std::memory_order_relaxed);
-  MeshBacking = Backing;
-  return true;
-}
-
-size_t RandomizedPartition::releaseDataPages(size_t First, size_t Count) {
-  if (MeshBacking != nullptr)
-    return MeshBacking->releasePages(MeshPageBase + First, Count);
-  const size_t Page = MmapRegion::pageSize();
-  return MmapRegion::releasePageRange(FirstPage + First * Page,
-                                      Count * Page);
-}
-
-size_t RandomizedPartition::buildPageMask(size_t PageIndex,
-                                          uint64_t *Mask) const {
-  const size_t Page = MmapRegion::pageSize();
-  for (size_t W = 0; W < MeshMaskWords; ++W)
-    Mask[W] = 0;
-  auto RegionBegin = reinterpret_cast<uintptr_t>(Base);
-  uintptr_t PB = reinterpret_cast<uintptr_t>(FirstPage) + PageIndex * Page;
-  uintptr_t PE = PB + Page;
-  // First slot whose bytes can reach the page: the one containing PB (a
-  // straddler from the previous page starts before PB but owns bytes on
-  // this one). Walk set slots from there until one starts past the page.
-  size_t S0 = PB > RegionBegin ? (PB - RegionBegin) / ObjectSize : 0;
-  size_t Units = 0;
-  const size_t End = active();
-  for (size_t S = IsAllocated.findNextSet(S0, End); S < End;
-       S = IsAllocated.findNextSet(S + 1, End)) {
-    uintptr_t OB = RegionBegin + S * ObjectSize;
-    if (OB >= PE)
-      break;
-    uintptr_t OE = OB + ObjectSize;
-    uintptr_t B = OB > PB ? OB : PB;
-    uintptr_t E = OE < PE ? OE : PE;
-    if (B >= E)
-      continue;
-    // Object sizes are multiples of 8 and slot 0 is 8-aligned, so the
-    // clipped range falls on 8-byte unit boundaries exactly.
-    size_t U0 = (B - PB) / 8, U1 = (E - PB) / 8;
-    for (size_t U = U0; U < U1; ++U)
-      Mask[U / 64] |= uint64_t(1) << (U % 64);
-    Units += U1 - U0;
-  }
-  return Units;
-}
-
-void RandomizedPartition::meshScan(MaintainOutcome &Out) {
-  struct Candidate {
-    uint32_t PageIndex;
-    uint32_t Units;
-    uint64_t Mask[MeshMaskWords];
-  };
-  Candidate Cands[MaxMeshCandidates];
-  size_t NumCands = 0;
-  bool Rearm = false;
-  const size_t ScanPages = activeDataPages();
-  for (size_t P = 0; P < ScanPages; ++P) {
-    if (meshPartner(P) != 0)
-      continue; // Already meshed (either side); reuse dissolves it.
-    uint64_t Mask[MeshMaskWords];
-    size_t Units = buildPageMask(P, Mask);
-    if (Units == 0 || Units == MeshMaskWords * 64) {
-      // Empty pages are the span scanner's business; full pages can never
-      // pair. Drop any stale snapshot.
-      meshSnapshot(P) = 0;
-      continue;
-    }
-    uint64_t H = hashMask(Mask, MeshMaskWords);
-    if (meshSnapshot(P) != H) {
-      // Not quiet yet: a page must show the same occupancy on two
-      // consecutive scans before it may mesh. Snapshot and re-check.
-      meshSnapshot(P) = H;
-      Rearm = true;
-      continue;
-    }
-    if (NumCands == MaxMeshCandidates) {
-      Rearm = true; // More quiet pages than one pass examines.
-      break;
-    }
-    Cands[NumCands].PageIndex = static_cast<uint32_t>(P);
-    Cands[NumCands].Units = static_cast<uint32_t>(Units);
-    for (size_t W = 0; W < MeshMaskWords; ++W)
-      Cands[NumCands].Mask[W] = Mask[W];
-    ++NumCands;
-  }
-
-  // Greedy first-fit pairing of disjoint masks; the sparser page donates
-  // (fewer bytes to copy, and its frame is the one punched out).
-  size_t Meshed = 0;
-  bool Used[MaxMeshCandidates] = {};
-  for (size_t I = 0; I + 1 < NumCands && Meshed < MaxMeshPairsPerPass; ++I) {
-    if (Used[I])
-      continue;
-    for (size_t J = I + 1; J < NumCands; ++J) {
-      if (Used[J])
-        continue;
-      uint64_t Overlap = 0;
-      for (size_t W = 0; W < MeshMaskWords; ++W)
-        Overlap |= Cands[I].Mask[W] & Cands[J].Mask[W];
-      if (Overlap != 0)
-        continue;
-      Used[I] = Used[J] = true;
-      ++Stats.MeshCandidates;
-      size_t Donor = Cands[I].Units <= Cands[J].Units ? I : J;
-      size_t Survivor = Donor == I ? J : I;
-      if (meshPair(Cands[Donor].PageIndex, Cands[Survivor].PageIndex,
-                   Cands[Donor].Mask))
-        ++Meshed;
-      break;
-    }
-  }
-  if (Meshed == MaxMeshPairsPerPass)
-    Rearm = true;
-  MeshArmed.store(Rearm, std::memory_order_relaxed);
-  if (Meshed != 0) {
-    Stats.PagesMeshed += Meshed;
-    Stats.MeshedBytes += Meshed * MmapRegion::pageSize();
-  }
-  Out.PagesMeshed += Meshed;
-}
-
-bool RandomizedPartition::meshPair(size_t Donor, size_t Survivor,
-                                   const uint64_t *DonorMask) {
-  const size_t Page = MmapRegion::pageSize();
-  char *DonorAddr = FirstPage + Donor * Page;
-  char *SurvivorAddr = FirstPage + Survivor * Page;
-  // Quiesce user writes to the donor for the copy: a concurrent writer
-  // faults into the guard's handler, spins until the guard drops, and
-  // retries — by then the donor's virtual page is remapped read/write
-  // onto the survivor's frame, where the copied object lives.
-  if (!MmapRegion::beginMeshGuard(DonorAddr))
-    return false; // Another mesh in flight process-wide: next pass.
-  copyMaskedUnits(SurvivorAddr, DonorAddr, DonorMask, MeshMaskWords);
-  if (!MeshBacking->remapPageTo(MeshPageBase + Donor,
-                                MeshPageBase + Survivor)) {
-    MmapRegion::abortMeshGuard(DonorAddr);
-    return false;
-  }
-  MmapRegion::endMeshGuard();
-  meshPartner(Donor) = static_cast<uint32_t>(Survivor) + 1;
-  meshPartner(Survivor) = static_cast<uint32_t>(Donor) + 1;
-  MeshedCount.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool RandomizedPartition::unmeshForSlot(size_t Index) {
-  if (MeshBacking == nullptr || NumDataPages == 0)
-    return true;
-  const size_t Page = MmapRegion::pageSize();
-  auto First = reinterpret_cast<uintptr_t>(FirstPage);
-  uintptr_t SlotBegin =
-      reinterpret_cast<uintptr_t>(Base) + Index * ObjectSize;
-  uintptr_t SlotLast = SlotBegin + ObjectSize - 1;
-  if (SlotLast < First)
-    return true;
-  size_t P0 = SlotBegin > First ? (SlotBegin - First) / Page : 0;
-  size_t P1 = (SlotLast - First) / Page;
-  if (P1 >= NumDataPages)
-    P1 = NumDataPages - 1;
-  for (size_t P = P0; P <= P1 && P < NumDataPages; ++P) {
-    uint32_t Partner = meshPartner(P);
-    if (Partner == 0)
-      continue;
-    // Either side of the pair must dissolve: a new object on the donor
-    // would be written through the remap onto the survivor's frame, and a
-    // new object on the survivor could overwrite units the donor's live
-    // objects occupy there. Which side is the donor is recorded in the
-    // backing's remap table.
-    size_t Other = static_cast<size_t>(Partner) - 1;
-    bool PIsDonor =
-        MeshBacking->meshTargetOf(MeshPageBase + P) != MeshPageBase + P;
-    if (!unmeshPage(PIsDonor ? P : Other, PIsDonor ? Other : P))
-      return false;
-  }
-  return true;
-}
-
-bool RandomizedPartition::unmeshPage(size_t Donor, size_t Survivor) {
-  const size_t Page = MmapRegion::pageSize();
-  char *DonorAddr = FirstPage + Donor * Page;
-  // Rebuild the donor's punched-out frame through a scratch mapping while
-  // the donor's virtual page still reads the shared frame.
-  void *Scratch = MeshBacking->mapFrameScratch(MeshPageBase + Donor);
-  if (Scratch == nullptr)
-    return false;
-  uint64_t Mask[MeshMaskWords];
-  buildPageMask(Donor, Mask);
-  // The process-wide guard may be briefly held by the sweeper meshing a
-  // different partition; a mesh is one page copy long, so wait it out
-  // (bounded, in case of a stuck holder).
-  bool Guarded = false;
-  for (int Spin = 0; Spin < (1 << 22); ++Spin)
-    if ((Guarded = MmapRegion::beginMeshGuard(DonorAddr)))
-      break;
-  if (!Guarded) {
-    MmapRegion::unmapFrameScratch(Scratch);
-    return false;
-  }
-  copyMaskedUnits(static_cast<char *>(Scratch), DonorAddr, Mask,
-                  MeshMaskWords);
-  bool Ok =
-      MeshBacking->remapPageTo(MeshPageBase + Donor, MeshPageBase + Donor);
-  if (Ok)
-    MmapRegion::endMeshGuard();
-  else
-    MmapRegion::abortMeshGuard(DonorAddr);
-  MmapRegion::unmapFrameScratch(Scratch);
-  if (!Ok)
-    return false;
-  meshPartner(Donor) = 0;
-  meshPartner(Survivor) = 0;
-  // Occupancy is about to change (the caller claimed a slot here); force
-  // both pages back through the two-scan quiet criterion.
-  meshSnapshot(Donor) = 0;
-  meshSnapshot(Survivor) = 0;
-  MeshedCount.fetch_sub(1, std::memory_order_relaxed);
-  return true;
 }
 
 bool RandomizedPartition::deallocate(void *Ptr) {

@@ -121,12 +121,6 @@ struct PartitionStats {
   RelaxedCounter PartialReturns;    ///< maintain() scans that released pages.
   RelaxedCounter SpansReleased;     ///< Contiguous page runs advised away
                                     ///< (one madvise call each).
-  RelaxedCounter MeshCandidates;    ///< Disjoint page pairs the mesh scan
-                                    ///< identified (attempted meshes).
-  RelaxedCounter PagesMeshed;       ///< Donor pages remapped onto a
-                                    ///< survivor's physical frame.
-  RelaxedCounter MeshedBytes;       ///< Physical bytes reclaimed by meshing
-                                    ///< (PagesMeshed * page size).
 };
 
 /// Claims a free slot among the first \p Slots bits of \p Bits: up to 64
@@ -226,7 +220,6 @@ public:
     size_t Drained = 0;       ///< Sidecar entries processed.
     size_t PagesReturned = 0; ///< Whole pages handed back to the OS.
     size_t SpansReleased = 0; ///< Contiguous page runs advised away.
-    size_t PagesMeshed = 0;   ///< Donor pages meshed onto survivors.
   };
 
   /// Epoch-maintenance entry for the background sweeper. Drains the
@@ -275,39 +268,6 @@ public:
     if (Stamp == LastScanFreeStamp.load(std::memory_order_relaxed))
       return false;
     return fill() <= FillGate;
-  }
-
-  /// Enables page meshing for this partition. \p Backing must be the
-  /// meshable (memfd-backed) region the partition's slots live in; the
-  /// partition allocates its per-page mesh bookkeeping (partner table +
-  /// occupancy snapshots) from demand-zero side mappings. Called once after
-  /// init(), before any allocation; partitions with FillOnAllocate (replica
-  /// random fill) refuse — a refault of pre-randomized contents would
-  /// destroy them, and meshing's copy discipline assumes no allocator-side
-  /// data writes under the lock. \returns true when meshing is active
-  /// afterwards (false leaves the partition fully functional, unmeshed).
-  bool bindMeshBacking(MmapRegion *Backing);
-
-  /// True if a maintain() call now could plausibly mesh pages: meshing is
-  /// bound, frees happened since the last mesh scan (or the previous scan
-  /// armed a re-check), and the fill level is at or below \p FillGate.
-  /// Lock-free pre-check for the sweeper, mirroring pageScanPending().
-  bool meshScanPending(double FillGate) const {
-    if (MeshBacking == nullptr || NumDataPages == 0)
-      return false;
-    if (MeshArmed.load(std::memory_order_relaxed))
-      return true;
-    uint64_t Stamp = Stats.Frees + Stats.ReturnedSlots;
-    if (Stamp == LastMeshFreeStamp.load(std::memory_order_relaxed))
-      return false;
-    return fill() <= FillGate;
-  }
-
-  /// Number of donor pages currently meshed away onto a survivor's frame.
-  /// Lock-free gauge; the hot allocation path reads it to decide whether an
-  /// unmesh check is needed at all.
-  size_t meshedPages() const {
-    return MeshedCount.load(std::memory_order_relaxed);
   }
 
   /// Successful sidecar pushes so far. Lock-free gauge.
@@ -417,10 +377,6 @@ private:
   /// objects fit under its 1/M share. Requires the partition lock.
   void growToFit(size_t Live);
 
-  /// Number of data pages that overlap the active prefix; maintenance
-  /// scans stop there.
-  size_t activeDataPages() const;
-
   /// claimRandomSlot, then reject-and-reprobe any slot that still has an
   /// in-flight sidecar entry (a stale double free of its previous life),
   /// draining the sidecar so the stale entry is consumed harmlessly
@@ -440,66 +396,6 @@ private:
   /// released page sub-runs. Accumulates into \p Out and the partition
   /// counters. Requires the partition lock.
   void scanAndReleaseSpans(MaintainOutcome &Out);
-
-  /// True when data page \p PageIndex participates in a mesh on either
-  /// side. Such pages are exempt from span release (the frame refcount is
-  /// what makes releasing a survivor impossible; skipping here keeps the
-  /// released-bit prefix accounting exact).
-  bool meshedDataPage(size_t PageIndex) const {
-    return MeshBacking != nullptr &&
-           MeshBacking->pageMeshed(MeshPageBase + PageIndex);
-  }
-
-  /// Releases data pages [\p First, \p First + \p Count), routing through
-  /// the meshable backing when bound (punch-hole semantics) and the static
-  /// madvise path otherwise. \returns bytes released.
-  size_t releaseDataPages(size_t First, size_t Count);
-
-  /// The mesh pass behind maintain(): builds a byte-granularity occupancy
-  /// mask per candidate page, requires two consecutive scans to observe an
-  /// identical mask (the quiet-page criterion), greedily pairs disjoint
-  /// masks, and meshes each pair (sparser page donates). Requires the
-  /// partition lock.
-  void meshScan(MaintainOutcome &Out);
-
-  /// Fills \p Mask (MeshMaskWords words, one bit per 8-byte unit of data
-  /// page \p PageIndex) from the allocation bitmap, handling objects that
-  /// straddle page boundaries. \returns the number of set units.
-  size_t buildPageMask(size_t PageIndex, uint64_t *Mask) const;
-
-  /// Meshes donor data page \p Donor onto survivor \p Survivor: copies the
-  /// donor's live units (per \p DonorMask) to their same offsets on the
-  /// survivor's frame under the write-quiescence guard, then remaps the
-  /// donor's virtual page onto the survivor's physical frame. \returns
-  /// false (no state changed) when the guard or the remap refuses.
-  bool meshPair(size_t Donor, size_t Survivor, const uint64_t *DonorMask);
-
-  /// Dissolves every mesh the freshly claimed slot \p Index overlaps, so
-  /// the slot's page is writable flesh of its own again before the caller
-  /// hands the object out. Called only when MeshedCount != 0 (one relaxed
-  /// load on the hot path). \returns false when an unmesh could not be
-  /// completed — the caller MUST then reject the slot: writing a new
-  /// object into a still-meshed page would land on the shared frame and
-  /// corrupt the partner page's live bytes.
-  bool unmeshForSlot(size_t Index);
-
-  /// Restores donor data page \p Donor (currently remapped onto
-  /// \p Survivor's frame) to its own frame: rebuilds the donor's live
-  /// units into its punched-out frame through a scratch mapping, then
-  /// remaps the donor's virtual page back to identity.
-  bool unmeshPage(size_t Donor, size_t Survivor);
-
-  /// Mesh-partner table entry of data page \p PageIndex: 0 = unmeshed,
-  /// else partner data page + 1 (set symmetrically on both pages).
-  uint32_t &meshPartner(size_t PageIndex) const {
-    return static_cast<uint32_t *>(MeshPartners.base())[PageIndex];
-  }
-
-  /// Occupancy-mask hash snapshot of data page \p PageIndex from the
-  /// previous mesh scan (0 = no snapshot; hashes are never 0).
-  uint64_t &meshSnapshot(size_t PageIndex) const {
-    return static_cast<uint64_t *>(MeshSnapshots.base())[PageIndex];
-  }
 
   /// Word/bit accessors of the released-page summary (one bit per data
   /// page; bit set = page currently advised away).
@@ -565,26 +461,6 @@ private:
   /// cleared since, so the scan is skipped. Written under the partition
   /// lock, relaxed so pageScanPending() may read it lock-free.
   std::atomic<uint64_t> LastScanFreeStamp{0};
-
-  // --- Page meshing ---------------------------------------------------------
-  // Occupancy masks are byte-granular: one bit per 8-byte unit of a page
-  // (objects are multiples of 8 and 8-aligned), so objects straddling page
-  // boundaries mark exactly the bytes they own on each page. MeshMaskWords
-  // bounds the mask to 4 KiB pages — larger-page systems simply never mesh.
-  // MeshPartners / MeshSnapshots are demand-zero side mappings with one
-  // entry per data page, mutated only under the partition lock; MeshedCount
-  // mirrors the number of meshed donor pages as a relaxed atomic so the hot
-  // allocation path pays one relaxed load when nothing is meshed.
-  static constexpr size_t MeshMaskWords = 8;
-  static constexpr size_t MaxMeshCandidates = 128;
-  static constexpr size_t MaxMeshPairsPerPass = 64;
-  MmapRegion *MeshBacking = nullptr;
-  size_t MeshPageBase = 0; ///< FirstPage's index within MeshBacking.
-  MmapRegion MeshPartners;
-  MmapRegion MeshSnapshots;
-  std::atomic<size_t> MeshedCount{0};
-  std::atomic<bool> MeshArmed{false};
-  std::atomic<uint64_t> LastMeshFreeStamp{0};
 
   /// Remote-free sidecar state. The link array and head are mutated
   /// lock-free by pushers; RemoteDrained and the drain walk are owner-only

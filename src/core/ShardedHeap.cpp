@@ -250,26 +250,11 @@ void *ShardedHeap::allocate(size_t Size) {
 }
 
 void *ShardedHeap::allocateOverflow(uint32_t Home, int Class, size_t Size) {
-  // With the sweeper running, rank siblings from its published pressure
-  // table — two gauge loads per sibling become one table load, and the
-  // table is refreshed every pass. Table entries can be a full sweep
-  // interval stale, so a miss (every table-ranked probe refused under its
-  // lock) falls back to one direct-gauge round; staleness costs a retry,
-  // never a spurious whole-request failure.
-  void *Ptr = overflowProbe(Home, Class, Size, /*UseTable=*/SweeperOn);
-  if (Ptr == nullptr && SweeperOn)
-    Ptr = overflowProbe(Home, Class, Size, /*UseTable=*/false);
-  return Ptr;
-}
-
-void *ShardedHeap::overflowProbe(uint32_t Home, int Class, size_t Size,
-                                 bool UseTable) {
   // Rank siblings by the target partition's fill, skipping ones whose
-  // gauge already shows saturation. The gauges (and the sweeper's table)
-  // are relaxed atomics, so this snapshot can be stale — harmless, because
-  // the chosen partition re-checks its 1/M bound under its own lock. All
-  // shards share one threshold (same options), so the live count alone
-  // orders fills.
+  // gauge already shows saturation. The gauges are relaxed atomics, so
+  // this snapshot can be stale — harmless, because the chosen partition
+  // re-checks its 1/M bound under its own lock. All shards share one
+  // threshold (same options), so the live count alone orders fills.
   struct Candidate {
     size_t Live;
     uint32_t Index;
@@ -280,20 +265,12 @@ void *ShardedHeap::overflowProbe(uint32_t Home, int Class, size_t Size,
     if (I == Home)
       continue;
     const RandomizedPartition &P = Shards[I]->Heap.partition(Class);
-    size_t Live;
-    if (UseTable) {
-      Live = Pressure[I * static_cast<size_t>(DieHardHeap::NumPartitions) +
-                      static_cast<size_t>(Class)]
-                 .load(std::memory_order_relaxed);
-    } else {
-      Live = P.live();
-      // Rank by live net of undrained sidecar entries: those slots free
-      // the moment the candidate's lock is taken (allocateSmallIn drains
-      // first), so a gauge-saturated partition with pending frees is
-      // still viable. (The table is published already net of pending.)
-      uint64_t Pending = P.pendingRemoteFrees();
-      Live = Pending < Live ? Live - static_cast<size_t>(Pending) : 0;
-    }
+    // Rank by live net of undrained sidecar entries: those slots free the
+    // moment the candidate's lock is taken (allocateSmallIn drains first),
+    // so a gauge-saturated partition with pending frees is still viable.
+    size_t Live = P.live();
+    uint64_t Pending = P.pendingRemoteFrees();
+    Live = Pending < Live ? Live - static_cast<size_t>(Pending) : 0;
     if (Live < P.threshold())
       Candidates[N++] = {Live, I};
   }
@@ -726,22 +703,6 @@ uint64_t ShardedHeap::spansReleased() const {
   return Total;
 }
 
-uint64_t ShardedHeap::pagesMeshed() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards)
-    for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
-      Total += S->Heap.partition(C).stats().PagesMeshed;
-  return Total;
-}
-
-uint64_t ShardedHeap::meshedBytes() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards)
-    for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
-      Total += S->Heap.partition(C).stats().MeshedBytes;
-  return Total;
-}
-
 size_t ShardedHeap::sweepOnce() {
   // Callers hold the pass gate (Sweep.Lock); the pass itself takes at most
   // one other lock at a time and never blocks while holding one.
@@ -755,8 +716,7 @@ size_t ShardedHeap::sweepOnce() {
     AgedCacheCount.fetch_add(Aged, std::memory_order_relaxed);
 
   // Layer 1: drain pressured partitions and run the partial page-return
-  // scan on quiet ones, then publish the post-maintenance pressure table
-  // entry.
+  // scan on quiet ones.
   size_t Drained = 0;
   for (uint32_t I = 0; I < Shards.size(); ++I) {
     Shard &S = *Shards[I];
@@ -769,19 +729,10 @@ size_t ShardedHeap::sweepOnce() {
       // filled partitions never pass the pre-check (their data must stay
       // resident for the fill invariant).
       if (P.hasPendingRemoteFrees() ||
-          P.pageScanPending(PartialReturnFillGate) ||
-          P.meshScanPending(PartialReturnFillGate)) {
+          P.pageScanPending(PartialReturnFillGate)) {
         std::lock_guard<std::mutex> Guard(partitionLock(S, C));
         Drained += S.Heap.maintain(C).Drained;
       }
-      size_t Live = P.live();
-      uint64_t Pending = P.pendingRemoteFrees();
-      size_t Net = Pending < Live ? Live - static_cast<size_t>(Pending) : 0;
-      if (Net > UINT32_MAX)
-        Net = UINT32_MAX;
-      Pressure[I * static_cast<size_t>(DieHardHeap::NumPartitions) +
-               static_cast<size_t>(C)]
-          .store(static_cast<uint32_t>(Net), std::memory_order_relaxed);
     }
   }
 

@@ -81,15 +81,12 @@
 /// over all four layers. A pass (1) ages out thread caches whose owners
 /// have been quiet for two full epochs — the whole cache (deferred frees
 /// included) flushes through the ordinary full-flush path without the
-/// owner thread exiting; (2) runs RandomizedPartition::maintain() on every
-/// partition with pending sidecar entries or a newly empty region, so
-/// in-flight cross-shard frees of idle partitions materialize and fully
+/// owner thread exiting; and (2) runs RandomizedPartition::maintain() on
+/// every partition with pending sidecar entries or a newly empty region,
+/// so in-flight cross-shard frees of idle partitions materialize and fully
 /// empty partitions hand their data pages back to the OS (MADV_DONTNEED;
 /// the bitmap metadata is untouched, so the 1/M bound and free validation
-/// are unchanged); and (3) publishes a per-(shard, class) pressure table
-/// of relaxed atomics that overflow routing reads instead of re-probing
-/// every sibling's gauges per allocation (with a direct-gauge fallback, so
-/// a stale table entry can only cost a retry, never a spurious failure).
+/// are unchanged).
 ///
 /// Safety of foreign-cache aging rests on a Dekker-style handshake, active
 /// only when the sweeper is configured: every owner cache operation is
@@ -190,11 +187,10 @@ struct ShardedHeapOptions {
   size_t ThreadCacheSlots = 0;
 
   /// Start the background epoch sweeper (see the file comment): periodic
-  /// sidecar drains, quiet-cache aging, empty-partition page return, and
-  /// the pressure table for overflow routing. Off by default — and the
-  /// shim forces it off for replicas, whose per-seed determinism a
-  /// concurrent maintenance thread would perturb. The shim maps
-  /// DIEHARD_SWEEPER onto this.
+  /// sidecar drains, quiet-cache aging, and empty-partition page return.
+  /// Off by default — and the shim forces it off for replicas, whose
+  /// per-seed determinism a concurrent maintenance thread would perturb.
+  /// The shim maps DIEHARD_SWEEPER onto this.
   bool Sweeper = false;
 
   /// Milliseconds between sweeper passes. The shim maps DIEHARD_SWEEP_MS
@@ -370,30 +366,11 @@ public:
   /// shards. Lock-free read.
   uint64_t spansReleased() const;
 
-  /// Donor pages currently-or-ever meshed onto a survivor's physical frame
-  /// by the sweeper's mesh passes, across all shards (monotonic counter,
-  /// not a gauge). Lock-free read.
-  uint64_t pagesMeshed() const;
-
-  /// Physical bytes reclaimed by meshing, across all shards. Lock-free
-  /// read.
-  uint64_t meshedBytes() const;
-
-  /// Fill-ratio gate for the sweeper's partial page return and mesh
-  /// scans: partitions fuller than this are skipped by the pass (a
-  /// mostly-set bitmap walk finds few releasable pages for its cost; the
-  /// partition will be scanned once it quiets down). Exposed so tests can
-  /// pin workloads on either side of the gate.
-  ///
-  /// Re-tuned against bench_space's fragmentation scenario when meshing
-  /// landed: the scenario idles at fill ~0.05 and produced identical RSS
-  /// trajectories and mesh counts with the gate at 0.25 and 0.5, so the
-  /// value is insensitive where it matters and 0.5 stands. It is also the
-  /// right shape for meshing specifically — at fill 0.5 (1/(2M) of the
-  /// slots, ~16 of 64 objects per 4 KB page for the 64 B class) randomly
-  /// placed pages almost never have disjoint slot masks, so scanning
-  /// fuller partitions for mesh pairs would burn bitmap walks on pages
-  /// that cannot pair.
+  /// Fill-ratio gate for the sweeper's partial page return: partitions
+  /// fuller than this are skipped by the pass (a mostly-set bitmap walk
+  /// finds few releasable pages for its cost; the partition will be
+  /// scanned once it quiets down). Exposed so tests can pin workloads on
+  /// either side of the gate.
   static constexpr double PartialReturnFillGate = 0.5;
 
   /// True when the epoch sweeper is configured and its thread started.
@@ -515,16 +492,9 @@ private:
 
   /// The overflow slow path: \p Home's class-\p Class partition refused the
   /// allocation; probe up to MaxOverflowProbes sibling shards in ascending
-  /// fill order — ranked from the sweeper's pressure table when it is
-  /// running, from the live gauges otherwise (and as the fallback when
-  /// every table-ranked probe fails, so a stale table entry can never turn
-  /// into a spurious allocation failure). \returns nullptr if every probed
-  /// sibling is saturated too.
+  /// fill order, ranked from the live gauges net of pending sidecar
+  /// entries. \returns nullptr if every probed sibling is saturated too.
   void *allocateOverflow(uint32_t Home, int Class, size_t Size);
-
-  /// One ranking-and-probing round of allocateOverflow. \p UseTable picks
-  /// the pressure table or the direct gauges as the ranking source.
-  void *overflowProbe(uint32_t Home, int Class, size_t Size, bool UseTable);
 
   // --- Epoch sweeper (see the file comment) -------------------------------
 
@@ -535,9 +505,8 @@ private:
   void stopSweeper();
 
   /// One maintenance pass: age quiet caches, maintain every pressured
-  /// partition (one partition lock at a time), publish the pressure table,
-  /// advance the epoch. Runs with the pass gate held. \returns sidecar
-  /// entries drained.
+  /// partition (one partition lock at a time), advance the epoch. Runs
+  /// with the pass gate held. \returns sidecar entries drained.
   size_t sweepOnce();
 
   /// The sweeper thread body: timed waits on the pass gate interleaved
@@ -646,8 +615,7 @@ private:
   SweeperState Sweep;
 
   /// True once the sweeper thread started; constant afterwards. Gates the
-  /// owner-side op brackets and the pressure-table ranking, so the default
-  /// configuration pays nothing.
+  /// owner-side op brackets, so the default configuration pays nothing.
   bool SweeperOn = false;
 
   /// Intrusive link in the process-global list of sweeper-enabled heaps
@@ -659,13 +627,6 @@ private:
 
   /// Quiet caches aged out by the sweeper.
   std::atomic<uint64_t> AgedCacheCount{0};
-
-  /// The published per-(shard, class) pressure table: live objects net of
-  /// pending sidecar entries, refreshed once per sweep pass. Overflow
-  /// routing ranks siblings from this instead of probing every sibling's
-  /// gauges per allocation when the sweeper runs.
-  std::atomic<uint32_t> Pressure[MaxShards * DieHardHeap::NumPartitions] =
-      {};
 
   /// RAII owner-side bracket for the sweeper handshake; a no-op until the
   /// sweeper is on.

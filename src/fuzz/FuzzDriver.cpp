@@ -848,10 +848,8 @@ FuzzConfig decodeFuzzConfig(const uint8_t *Data, size_t Size,
       (B0 >> 6) == 3 ? PageReturnPolicy::Off : PageReturnPolicy::DontNeed;
   C.Workers = (B1 >> 2) & 3;
   C.SweepIntervalMs = 1 + ((B1 >> 4) & 7); // 1..8 ms epochs.
-  // B1's top bit (formerly interval range 9..16, a redundant timing axis)
-  // now toggles meshing; forced off with RandomFill exactly like the shim
-  // (a meshed donor's punched frame refaults zero, destroying fill).
-  C.Meshing = (B1 & 0x80) != 0 && !C.RandomFill;
+  // B1's top bit is unused, like B0's bit 1: the layout stays fixed so
+  // committed inputs keep decoding to the same configuration.
   C.Seed = Rng::deriveStream(BaseSeed, 1 + B2 + 256 * B3);
   if (C.Seed == 0)
     C.Seed = 0x5EEDULL; // Zero would select true randomness.
@@ -869,7 +867,6 @@ FuzzResult runFuzzSequence(const uint8_t *Data, size_t Size,
   Opts.Heap.Seed = Cfg.Seed;
   Opts.Heap.RandomFillObjects = Cfg.RandomFill;
   Opts.Heap.RandomFillOnFree = Cfg.RandomFill;
-  Opts.Heap.Meshing = Cfg.Meshing;
   Opts.NumShards = Cfg.NumShards;
   Opts.OverflowRouting = Cfg.Overflow;
   Opts.ThreadCacheSlots = Cfg.ThreadCacheSlots;

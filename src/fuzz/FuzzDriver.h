@@ -84,11 +84,6 @@ struct FuzzConfig {
   PageReturnPolicy PageReturn = PageReturnPolicy::DontNeed;
   bool Overflow = true;        ///< DIEHARD_OVERFLOW.
   bool RandomFill = false;     ///< Replica-style object fill.
-  /// DIEHARD_MESH for the run (forced off with RandomFill, like the
-  /// shim). Meshing must leave every differential check untouched: pair
-  /// remaps only change which physical frame backs a virtual page, never
-  /// placement, contents, or validation outcomes.
-  bool Meshing = false;
   size_t HeapSize = 0;         ///< Per-shard reservation bytes.
   size_t Workers = 0;          ///< Spawned worker threads, 0..3.
   uint64_t Seed = 0;           ///< Resolved heap seed (never 0).

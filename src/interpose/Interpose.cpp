@@ -41,10 +41,9 @@
 ///                       being enforced.
 ///   DIEHARD_SWEEPER     "1" starts the background epoch sweeper: periodic
 ///                       passes drain idle partitions' remote-free
-///                       sidecars, age out quiet threads' caches, return
-///                       quiet partitions' object-free pages to the OS and
-///                       publish the pressure table overflow routing ranks
-///                       from. Off by default, and forced off in
+///                       sidecars, age out quiet threads' caches and
+///                       return quiet partitions' object-free pages to the
+///                       OS. Off by default, and forced off in
 ///                       replicated mode — a concurrent maintenance thread
 ///                       would perturb a replica's per-seed determinism.
 ///   DIEHARD_SWEEP_MS    milliseconds between sweeper passes (default 100,
@@ -52,10 +51,6 @@
 ///   DIEHARD_PAGE_RETURN "off" never releases pages; anything else (the
 ///                       default) hands released page spans back to the
 ///                       OS with MADV_DONTNEED, so RSS drops immediately.
-///   DIEHARD_MESH        "1" lets sweeper passes mesh sparse pages onto
-///                       shared physical frames. Off by default, forced
-///                       off in replicated mode; no effect without the
-///                       sweeper.
 ///   DIEHARD_STATS       "1" dumps a JSON stats line (the lock-free
 ///                       statsApprox() snapshot) at process exit to the
 ///                       process's startup stderr; any other value is
@@ -214,9 +209,7 @@ void dumpStatsAtExit() {
       "\"sweep_passes\":%llu,\"sweeper_drained\":%llu,"
       "\"aged_caches\":%llu,\"pages_returned\":%llu,"
       "\"partial_returns\":%llu,\"spans_released\":%llu,"
-      "\"mesh_candidates\":%llu,\"pages_meshed\":%llu,"
-      "\"meshed_bytes\":%llu,\"probes\":%llu,"
-      "\"realloc_rejects\":%llu}}\n",
+      "\"probes\":%llu,\"realloc_rejects\":%llu}}\n",
       static_cast<unsigned long long>(S.Allocations),
       static_cast<unsigned long long>(S.Frees),
       static_cast<unsigned long long>(S.FailedAllocations),
@@ -235,9 +228,6 @@ void dumpStatsAtExit() {
       static_cast<unsigned long long>(S.PagesReturned),
       static_cast<unsigned long long>(S.PartialReturns),
       static_cast<unsigned long long>(S.SpansReleased),
-      static_cast<unsigned long long>(S.MeshCandidates),
-      static_cast<unsigned long long>(S.PagesMeshed),
-      static_cast<unsigned long long>(S.MeshedBytes),
       static_cast<unsigned long long>(S.Probes),
       static_cast<unsigned long long>(S.ReallocRejects));
   if (N > 0)
@@ -264,9 +254,6 @@ ShardedHeap *constructHeap() {
   // Replicas never run the sweeper: its thread would interleave with the
   // replica's allocation sequence and break per-seed determinism.
   Options.Sweeper = !IsReplica && envFlag("DIEHARD_SWEEPER", false);
-  // Meshing is likewise replica-incompatible (random fill relies on pages
-  // keeping their contents; a meshed donor's punched frame refaults zero).
-  Options.Heap.Meshing = !IsReplica && envFlag("DIEHARD_MESH", false);
   size_t SweepMs = envSize("DIEHARD_SWEEP_MS", Options.SweepIntervalMs);
   Options.SweepIntervalMs =
       SweepMs > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(SweepMs);
@@ -493,13 +480,6 @@ size_t diehard_partial_returns(void) {
 size_t diehard_spans_released(void) {
   ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
   return H != nullptr ? static_cast<size_t>(H->spansReleased()) : 0;
-}
-
-/// Donor pages meshed onto a survivor's physical frame by the sweeper's
-/// mesh passes (see DIEHARD_MESH). Lock-free.
-size_t diehard_pages_meshed(void) {
-  ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
-  return H != nullptr ? static_cast<size_t>(H->pagesMeshed()) : 0;
 }
 
 } // extern "C"

@@ -286,7 +286,7 @@ void burstWorker(Allocator &Target, const GauntletParams &P, int Thread,
 /// scattered pinned survivors (one per stride), then churn allocations
 /// into the holes with a log-spread size mix. The pins keep pages and
 /// partitions partially occupied for the whole run — the shape partial
-/// page return cannot reclaim and meshing exists for.
+/// page return cannot reclaim.
 void fragmentWorker(Allocator &Target, const GauntletParams &P, int Thread,
                     WorkerStats &Stats) {
   Rng Rand(Rng::deriveStream(P.Seed, static_cast<uint64_t>(Thread) + 1));

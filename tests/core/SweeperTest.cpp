@@ -10,7 +10,7 @@
 /// page return of quiet partitions' free spans with the bitmap metadata
 /// (and so double-free detection) intact, the fill-ratio gate that keeps
 /// the scanner off hot partitions, double frees exposed at the sweeper's
-/// own drains, the stale-pressure-table fallback of overflow routing, and
+/// own drains, overflow routing to siblings freed since the last pass, and
 /// sweeper-vs-allocator stress runs for the sanitizer lanes.
 ///
 /// Deterministic cases construct the heap with the sweeper on but an
@@ -386,10 +386,11 @@ TEST(SweeperTest, DoubleFreeCaughtAtSweeperDrain) {
 }
 
 TEST(SweeperTest, OverflowFallsBackWhenPressureTableIsStale) {
-  // Overflow routing ranks siblings from the sweeper's pressure table.
-  // The table can be a whole interval stale; when every table-ranked
-  // candidate is refused (or excluded), one direct-gauge round must still
-  // find real capacity — staleness costs a retry, never a failure.
+  // Overflow routing ranks siblings from the live gauges, never from
+  // state the sweeper published at its last pass. Frees the sweeper has
+  // not yet seen must still count: a sibling whose class the last pass
+  // observed saturated, but which has since been freed, must take the
+  // overflow allocation.
   ShardedHeapOptions O;
   O.Heap.HeapSize = 12 * SizeClass::MaxObjectSize * 4;
   O.Heap.Seed = 42;
@@ -403,7 +404,7 @@ TEST(SweeperTest, OverflowFallsBackWhenPressureTableIsStale) {
   size_t Sibling = 1 - Home;
   size_t Threshold = H.shard(Home).thresholdForClass(C);
 
-  // Saturate both shards' class, then publish that state to the table.
+  // Saturate both shards' class, then let a sweep pass observe that state.
   std::vector<void *> HomeHeld, SiblingHeld;
   for (size_t I = 0; I < 2 * Threshold; ++I) {
     void *P = H.allocate(4096);
@@ -414,14 +415,13 @@ TEST(SweeperTest, OverflowFallsBackWhenPressureTableIsStale) {
   EXPECT_EQ(H.partitionFill(Sibling, C), 1.0);
 
   // Free the sibling's objects WITHOUT sweeping: real capacity exists,
-  // but the table still claims saturation.
+  // but the last pass saw the class saturated.
   for (void *P : SiblingHeld)
     H.deallocate(P);
   H.drainRemoteFrees(); // Materialize the cross-shard frees themselves.
   EXPECT_EQ(H.shard(Sibling).liveInClass(C), 0u);
 
-  // Home is still saturated; the table round finds no viable candidate,
-  // and the gauge fallback must route to the sibling anyway.
+  // Home is still saturated; the gauges must route to the sibling.
   uint64_t OverflowBefore = H.overflowAllocations();
   void *P = H.allocate(4096);
   ASSERT_NE(P, nullptr) << "stale table must not fail the allocation";
@@ -439,9 +439,8 @@ TEST(SweeperTest, SweeperVersusAllocatorStressStaysConsistent) {
   // The TSan workload: the background sweeper runs at a short interval
   // while producers and consumers hammer every tier — cache pops and
   // refills under the Dekker bracket, deferred flushes, sidecar pushes,
-  // overflow routing against the live pressure table, and sweeper-driven
-  // aging racing thread exits. Scaled by DIEHARD_STRESS_ITERS for the
-  // nightly lane.
+  // overflow routing, and sweeper-driven aging racing thread exits.
+  // Scaled by DIEHARD_STRESS_ITERS for the nightly lane.
   const int Mult = stressMultiplier();
   ShardedHeapOptions O = sweeperOptions(4, /*CacheSlots=*/8,
                                         /*IntervalMs=*/2, /*Seed=*/77);

@@ -78,7 +78,6 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   bool SawCached = false, SawUncached = false, SawMultiShard = false;
   bool SawWorkers = false;
   bool SawPageReturnOff = false;
-  bool SawMeshing = false;
 
   for (const std::string &Path : Files) {
     std::vector<uint8_t> Bytes = readFile(Path);
@@ -93,7 +92,6 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
     SawWorkers = SawWorkers || R.Config.Workers > 0;
     SawPageReturnOff =
         SawPageReturnOff || R.Config.PageReturn == PageReturnPolicy::Off;
-    SawMeshing = SawMeshing || R.Config.Meshing;
   }
 
   EXPECT_GT(TotalOps, 0u);
@@ -107,7 +105,6 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   EXPECT_TRUE(SawWorkers) << "corpus never spawns cross-thread workers";
   EXPECT_TRUE(SawPageReturnOff)
       << "corpus never selects DIEHARD_PAGE_RETURN=off";
-  EXPECT_TRUE(SawMeshing) << "corpus never enables DIEHARD_MESH";
 }
 
 TEST(FuzzCorpusTest, DeterministicInputsReplayBitIdentically) {

@@ -14,6 +14,11 @@
 /// ENOMEM instead of served) are gated on DIEHARD_CONTRACT_SHIM=1 in the
 /// environment.
 ///
+/// The last phase forks: heap memory must be private to each process
+/// after fork(), as it is for any allocator built on private anonymous
+/// mappings. A child's writes to inherited objects must never show up in
+/// the parent.
+///
 /// Prints CONTRACT-OK and exits 0 on success; prints one CONTRACT-FAIL
 /// line naming the violated contract and exits 1 otherwise.
 ///
@@ -26,6 +31,7 @@
 #include <cstring>
 
 #include <malloc.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace {
@@ -207,6 +213,71 @@ void checkUsableSizeMonotonicity() {
   }
 }
 
+/// Fills \p Len bytes at \p Ptr with \p Byte. Goes through a volatile
+/// pointer, out of line: a malloc'd buffer that has not escaped is
+/// otherwise assumed unchanged across fork(), and the compiler folds the
+/// parent's check below away.
+__attribute__((noinline)) void fillVolatile(void *Ptr, unsigned char Byte,
+                                            size_t Len) {
+  volatile unsigned char *P = static_cast<volatile unsigned char *>(Ptr);
+  for (size_t I = 0; I < Len; ++I)
+    P[I] = Byte;
+}
+
+/// True if every one of the \p Len bytes at \p Ptr equals \p Byte, read
+/// through a volatile pointer (see fillVolatile).
+__attribute__((noinline)) bool holdsVolatile(const void *Ptr,
+                                             unsigned char Byte, size_t Len) {
+  const volatile unsigned char *P =
+      static_cast<const volatile unsigned char *>(Ptr);
+  for (size_t I = 0; I < Len; ++I)
+    if (P[I] != Byte)
+      return false;
+  return true;
+}
+
+void checkForkPrivacy() {
+  // Objects of several size classes, plus one past the small-object
+  // range. The child scribbles over all of them and churns the heap; the
+  // parent's copies must be untouched.
+  static const size_t Sizes[] = {16, 64, 256, 1024, 4096, 16384, 100000};
+  constexpr size_t NumSizes = sizeof(Sizes) / sizeof(Sizes[0]);
+  void *Objects[NumSizes] = {};
+  for (size_t I = 0; I < NumSizes; ++I) {
+    Objects[I] = std::malloc(Sizes[I]);
+    check(Objects[I] != nullptr, "malloc before fork succeeds");
+    if (Objects[I] == nullptr)
+      return;
+    fillVolatile(Objects[I], 0xA5, Sizes[I]);
+  }
+
+  std::fflush(stdout);
+  pid_t Pid = ::fork();
+  check(Pid >= 0, "fork succeeds");
+  if (Pid == 0) {
+    for (size_t I = 0; I < NumSizes; ++I)
+      fillVolatile(Objects[I], 0x3C, Sizes[I]);
+    for (size_t I = 0; I < NumSizes; ++I) {
+      void *Fresh = std::malloc(Sizes[I]);
+      if (Fresh != nullptr)
+        fillVolatile(Fresh, 0x3C, Sizes[I]);
+      std::free(Fresh);
+    }
+    ::_exit(0);
+  }
+  if (Pid > 0) {
+    int Status = 0;
+    check(::waitpid(Pid, &Status, 0) == Pid && WIFEXITED(Status) &&
+              WEXITSTATUS(Status) == 0,
+          "forked child exits cleanly");
+  }
+  for (size_t I = 0; I < NumSizes; ++I)
+    check(holdsVolatile(Objects[I], 0xA5, Sizes[I]),
+          "a child's writes after fork never reach the parent's heap");
+  for (void *P : Objects)
+    std::free(P);
+}
+
 } // namespace
 
 int main() {
@@ -215,6 +286,7 @@ int main() {
   checkRealloc();
   checkAlignedAllocation();
   checkUsableSizeMonotonicity();
+  checkForkPrivacy();
   if (Failures != 0)
     return 1;
   std::printf("CONTRACT-OK\n");

@@ -202,14 +202,15 @@ TEST(InterposeTest, TinyThreadCacheForcesConstantRefills) {
 
 TEST(InterposeTest, RetiredSettingsAreInert) {
   // A deployment that still exports the retired settings below (adaptive
-  // cache sizing, metadata huge pages, lazy page return) must get the
-  // production configuration — fixed K, MADV_DONTNEED page return — and
-  // pass the full sweeper-on stress unchanged.
+  // cache sizing, metadata huge pages, lazy page return, page meshing)
+  // must get the production configuration — fixed K, MADV_DONTNEED page
+  // return, a private heap mapping — and pass the full sweeper-on stress
+  // unchanged.
   RunResult R = runPreloaded(
       DIEHARD_MT_SHARD_VICTIM_PATH,
       "DIEHARD_SHARDS=4 DIEHARD_TCACHE=8 DIEHARD_SWEEPER=1 "
       "DIEHARD_SWEEP_MS=5 DIEHARD_TCACHE_ADAPT=1 DIEHARD_THP=1 "
-      "DIEHARD_PAGE_RETURN=free");
+      "DIEHARD_PAGE_RETURN=free DIEHARD_MESH=1");
   EXPECT_EQ(R.ExitCode, 0);
   EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
 }
@@ -297,9 +298,10 @@ TEST(InterposeTest, CppBinaryWithNewDelete) {
 // --- API-contract victim -----------------------------------------------------
 // ContractVictim.cpp asserts the portable POSIX/C allocation contracts
 // (calloc overflow refusal, posix_memalign validation, realloc semantics,
-// malloc_usable_size floors, errno on failure). Running it both ways keeps
-// the suite honest: a contract the system allocator fails would be a bogus
-// test, and a contract the shim fails is a real finding.
+// malloc_usable_size floors, errno on failure, heap privacy across fork).
+// Running it both ways keeps the suite honest: a contract the system
+// allocator fails would be a bogus test, and a contract the shim fails is
+// a real finding.
 
 TEST(InterposeTest, ContractVictimPassesAgainstSystemAllocator) {
   // No LD_PRELOAD: run the victim directly against glibc.
@@ -340,6 +342,18 @@ TEST(InterposeTest, ContractVictimPassesUnderReplicatedFill) {
   // realloc's preserved prefix.
   RunResult R = runPreloaded(DIEHARD_CONTRACT_VICTIM_PATH,
                              "DIEHARD_CONTRACT_SHIM=1 DIEHARD_REPLICATED=1");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(R.Output, "CONTRACT-OK\n");
+}
+
+TEST(InterposeTest, ContractVictimPassesUnderRetiredMeshing) {
+  // The retired page-meshing switch backed the heap with a shared memfd
+  // mapping, so a forked child's writes landed in the parent's objects.
+  // Exported today, it must leave the heap private across fork() — the
+  // victim's fork phase checks exactly that — with the sweeper running.
+  RunResult R = runPreloaded(DIEHARD_CONTRACT_VICTIM_PATH,
+                             "DIEHARD_CONTRACT_SHIM=1 DIEHARD_MESH=1 "
+                             "DIEHARD_SWEEPER=1 DIEHARD_SWEEP_MS=5");
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_EQ(R.Output, "CONTRACT-OK\n");
 }

@@ -49,7 +49,6 @@ REFERENCE_CONFIG = {
     "tcache": "cache_off",
     "peak_espresso": "lea",
     "churn_idle": "return-off",
-    "frag_idle": "mesh-off",
 }
 
 

@@ -71,8 +71,7 @@ enum CoverageBit {
   // run actually returns depends on sweep timing, and a corpus selected
   // on timing-dependent coverage would not replay to the same bits.
   BitPageReturnOff = 15,
-  BitMeshing = 16,
-  NumCoverageBits = 17
+  NumCoverageBits = 16
 };
 
 uint32_t coverageOf(const FuzzResult &R) {
@@ -99,8 +98,6 @@ uint32_t coverageOf(const FuzzResult &R) {
     Bits |= 1u << BitRemoteFrees;
   if (R.Config.PageReturn == diehard::PageReturnPolicy::Off)
     Bits |= 1u << BitPageReturnOff;
-  if (R.Config.Meshing)
-    Bits |= 1u << BitMeshing;
   return Bits;
 }
 
@@ -335,10 +332,10 @@ int main(int Argc, char **Argv) {
       }
       ++Kept;
       if (!Quiet)
-        std::printf("kept %s (coverage %05x -> %05x)\n", Name,
+        std::printf("kept %s (coverage %04x -> %04x)\n", Name,
                     Bits, Covered);
     }
-    std::printf("emit: %zu entries, coverage %05x/%05x%s\n", Kept, Covered,
+    std::printf("emit: %zu entries, coverage %04x/%04x%s\n", Kept, Covered,
                 All, Covered == All ? "" : " (INCOMPLETE)");
   }
 
