@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Measures how aggregate malloc/free throughput scales with threads, in
-/// two scenarios:
+/// three scenarios:
 ///
 /// 1. *Sharding* — a single global DieHard heap (shards = 1, the
 ///    pre-sharding configuration) versus a per-thread-sharded heap
@@ -16,22 +16,14 @@
 ///    operations per second at 1/2/4/8 threads plus the speedup of
 ///    sharding at the highest thread count.
 ///
-/// 2. *Partition locking* — all threads pinned to ONE shard (NumShards=1),
-///    each thread churning its own size class, with the shard's old
-///    coarse lock (PartitionLocking=false) versus the per-partition locks.
-///    This isolates the win of pushing lock granularity down to the
-///    paper's per-size-class unit: same shard, disjoint partitions, so
-///    fine-grained locking should approach linear scaling where the
-///    coarse lock serializes everything.
-///
-/// 3. *Thread cache* — the sharded configuration with the per-thread
+/// 2. *Thread cache* — the sharded configuration with the per-thread
 ///    cache tier off versus on (DIEHARD_TCACHE semantics, K=32). With the
 ///    cache, the steady-state malloc/free is a TLS pop/push and partition
 ///    locks are only touched once per K-slot batch, so this measures the
 ///    lock-free fast path's win over per-operation locking — visible even
 ///    single-threaded (fewer lock round-trips), growing with contention.
 ///
-/// 4. *Epoch sweeper* — the cached sharded configuration with the
+/// 3. *Epoch sweeper* — the cached sharded configuration with the
 ///    background maintenance thread (DIEHARD_SWEEPER semantics, 25 ms
 ///    passes) off versus on. Every bench thread stays hot, so nothing is
 ///    ever aged or released; the scenario measures the sweeper's steady-
@@ -66,20 +58,15 @@ namespace {
 using diehard::Rng;
 using diehard::ShardedHeap;
 using diehard::ShardedHeapOptions;
-using diehard::SizeClass;
 
 constexpr int SlotsPerThread = 256;
 constexpr size_t MaxRequest = 1024;
 
-/// One worker: `Ops` rounds of slot churn against `Heap`. With ClassIndex
-/// >= 0 every request is that size class's exact size (the mixed-class
-/// scenario gives each thread its own class); otherwise sizes are random in
-/// [1, MaxRequest].
-void churnWorker(ShardedHeap &Heap, uint64_t Seed, long Ops, int ClassIndex,
+/// One worker: `Ops` rounds of slot churn against `Heap`, with sizes random
+/// in [1, MaxRequest].
+void churnWorker(ShardedHeap &Heap, uint64_t Seed, long Ops,
                  std::atomic<bool> &Go, std::atomic<long> &Failed) {
   Rng Rand(Seed);
-  size_t FixedSize =
-      ClassIndex >= 0 ? SizeClass::classToSize(ClassIndex) : 0;
   std::vector<void *> Slots(SlotsPerThread, nullptr);
   while (!Go.load(std::memory_order_acquire))
     std::this_thread::yield();
@@ -88,9 +75,7 @@ void churnWorker(ShardedHeap &Heap, uint64_t Seed, long Ops, int ClassIndex,
     size_t Slot = Rand.nextBounded(SlotsPerThread);
     if (Slots[Slot] != nullptr)
       Heap.deallocate(Slots[Slot]);
-    size_t Size =
-        FixedSize != 0 ? FixedSize : 1 + Rand.nextBounded(MaxRequest);
-    Slots[Slot] = Heap.allocate(Size);
+    Slots[Slot] = Heap.allocate(1 + Rand.nextBounded(MaxRequest));
     if (Slots[Slot] == nullptr)
       ++Failures;
   }
@@ -103,8 +88,6 @@ void churnWorker(ShardedHeap &Heap, uint64_t Seed, long Ops, int ClassIndex,
 
 struct RunConfig {
   size_t Shards;
-  bool PartitionLocks;
-  bool PerThreadClasses;     ///< Thread t churns size class t % NumClasses.
   size_t ThreadCacheSlots = 0; ///< K for the thread-cache tier (0 = off).
   bool Sweeper = false;        ///< Background epoch sweeper thread.
   uint32_t SweepIntervalMs = 25; ///< Sweeper pass interval when enabled.
@@ -117,7 +100,6 @@ double measure(const RunConfig &Config, int Threads, long OpsPerThread) {
   Options.Heap.HeapSize = 384 * 1024 * 1024;
   Options.Heap.Seed = 0x5EED + 17 * static_cast<uint64_t>(Threads);
   Options.NumShards = Config.Shards;
-  Options.PartitionLocking = Config.PartitionLocks;
   Options.ThreadCacheSlots = Config.ThreadCacheSlots;
   Options.Sweeper = Config.Sweeper;
   Options.SweepIntervalMs = Config.SweepIntervalMs;
@@ -131,13 +113,10 @@ double measure(const RunConfig &Config, int Threads, long OpsPerThread) {
   std::atomic<long> Failed{0};
   std::vector<std::thread> Workers;
   Workers.reserve(static_cast<size_t>(Threads));
-  for (int T = 0; T < Threads; ++T) {
-    int ClassIndex =
-        Config.PerThreadClasses ? T % SizeClass::NumClasses : -1;
+  for (int T = 0; T < Threads; ++T)
     Workers.emplace_back(churnWorker, std::ref(Heap),
                          static_cast<uint64_t>(T) + 1, OpsPerThread,
-                         ClassIndex, std::ref(Go), std::ref(Failed));
-  }
+                         std::ref(Go), std::ref(Failed));
 
   double Seconds = diehard::bench::timeSeconds([&] {
     Go.store(true, std::memory_order_release);
@@ -189,8 +168,8 @@ int main(int argc, char **argv) {
               "sharded ops/s", "ratio");
   diehard::bench::printRule();
 
-  const RunConfig Global{1, true, false};
-  const RunConfig Sharded{Cpus, true, false};
+  const RunConfig Global{1};
+  const RunConfig Sharded{Cpus};
   const int ThreadCounts[] = {1, 2, 4, 8};
   double GlobalAt8 = 0, ShardedAt8 = 0;
   for (int Threads : ThreadCounts) {
@@ -208,36 +187,7 @@ int main(int argc, char **argv) {
   std::printf("sharded (%zu shards) vs global at 8 threads: %.2fx\n", Cpus,
               ShardedAt8 / GlobalAt8);
 
-  // Scenario 2: same shard, each thread its own size class — coarse
-  // per-shard lock vs per-partition locks. This is the contention pattern
-  // the partition decomposition exists for.
-  std::printf("\nsame-shard mixed-size-class contention (1 shard, thread t "
-              "-> class t%%%d)\n",
-              SizeClass::NumClasses);
-  diehard::bench::printRule();
-  std::printf("%8s  %12s  %14s  %8s\n", "threads", "coarse ops/s",
-              "partition ops/s", "ratio");
-  diehard::bench::printRule();
-
-  const RunConfig Coarse{1, false, true};
-  const RunConfig Partitioned{1, true, true};
-  double CoarseAt8 = 0, PartitionedAt8 = 0;
-  for (int Threads : ThreadCounts) {
-    double C = measure(Coarse, Threads, OpsPerThread);
-    double P = measure(Partitioned, Threads, OpsPerThread);
-    recordJson("mixed_class", "coarse_lock", Threads, C);
-    recordJson("mixed_class", "partition_locks", Threads, P);
-    std::printf("%8d  %12.0f  %14.0f  %7.2fx\n", Threads, C, P, P / C);
-    if (Threads == 8) {
-      CoarseAt8 = C;
-      PartitionedAt8 = P;
-    }
-  }
-  diehard::bench::printRule();
-  std::printf("partition locks vs coarse lock at 8 threads: %.2fx\n",
-              PartitionedAt8 / CoarseAt8);
-
-  // Scenario 3: the thread-cache tier off vs on (K=32) over the sharded
+  // Scenario 2: the thread-cache tier off vs on (K=32) over the sharded
   // configuration — the lock-free fast path's win over per-op locking.
   std::printf("\nthread cache (%zu shards, random sizes, K=32)\n", Cpus);
   diehard::bench::printRule();
@@ -245,8 +195,8 @@ int main(int argc, char **argv) {
               "cache-on ops/s", "on/off");
   diehard::bench::printRule();
 
-  const RunConfig CacheOff{Cpus, true, false, 0};
-  const RunConfig CacheOn{Cpus, true, false, 32};
+  const RunConfig CacheOff{Cpus, 0};
+  const RunConfig CacheOn{Cpus, 32};
   double OffAt8 = 0, OnAt8 = 0;
   for (int Threads : ThreadCounts) {
     double Off = measure(CacheOff, Threads, OpsPerThread);
@@ -264,14 +214,14 @@ int main(int argc, char **argv) {
   std::printf("thread cache on vs off at 8 threads: %.2fx\n",
               OnAt8 / OffAt8);
 
-  // Scenario 4: the background epoch sweeper off vs on over the cached
+  // Scenario 3: the background epoch sweeper off vs on over the cached
   // sharded configuration. The sweeper periodically drains sidecars, ages
   // quiet caches and returns free pages; under a steady-state
   // churn storm every thread stays active, so its cost here is pure
   // overhead — the interesting result is how close on/off stays to 1.0x
   // (the maintenance thread must not tax the fast path).
-  const RunConfig SweeperOff{Cpus, true, false, 32, false, 25};
-  const RunConfig SweeperOn{Cpus, true, false, 32, true, 25};
+  const RunConfig SweeperOff{Cpus, 32, false, 25};
+  const RunConfig SweeperOn{Cpus, 32, true, 25};
   std::printf("\nepoch sweeper (%zu shards, K=32, %u ms passes)\n", Cpus,
               SweeperOn.SweepIntervalMs);
   diehard::bench::printRule();

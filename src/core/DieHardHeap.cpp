@@ -237,15 +237,19 @@ size_t DieHardHeap::bytesLive() const {
   return Total;
 }
 
+void DieHardHeap::addHeapStats(DieHardStats &Total) const {
+  Total.LargeAllocations += LargeAllocationCount;
+  Total.LargeFrees += LargeFreeCount;
+  Total.FailedAllocations += LargeFailedCount;
+  Total.IgnoredFrees += ForeignIgnoredFrees;
+  Total.ReallocRejects += ReallocRejectCount;
+}
+
 DieHardStats DieHardHeap::stats() const {
   DieHardStats S;
   for (const RandomizedPartition &P : Partitions)
     addPartitionStats(S, P);
-  S.LargeAllocations = LargeAllocationCount;
-  S.LargeFrees = LargeFreeCount;
-  S.FailedAllocations += LargeFailedCount;
-  S.IgnoredFrees += ForeignIgnoredFrees;
-  S.ReallocRejects = ReallocRejectCount;
+  addHeapStats(S);
   return S;
 }
 

@@ -157,9 +157,12 @@ void addPartitionStats(DieHardStats &Total, const RandomizedPartition &P);
 /// operate on *different* size classes of the same DieHardHeap
 /// concurrently, as long as each class is serialized (see ShardedHeap for
 /// the lock table; partitionIndexOf() is the pre-lock routing query). The
-/// large-object path and the whole-heap queries (stats(), bytesLive(),
-/// forEachLiveObject()) are not covered by that scheme and remain
-/// single-threaded-or-externally-serialized.
+/// large-object path (allocate/deallocate/getObjectSize of pointers outside
+/// the reservation) touches only heap-level state and needs one lock of its
+/// own, disjoint from the partition locks; the sharded layer serves every
+/// large request through shard 0's path under its LargeLock. stats() and
+/// bytesLive() read relaxed counters and gauges only; forEachLiveObject()
+/// remains single-threaded-or-externally-serialized.
 ///
 /// The heap never throws and never aborts on bad input: allocation failure
 /// returns nullptr and invalid frees are silently ignored, exactly as the
@@ -212,8 +215,8 @@ public:
   bool isInHeap(const void *Ptr) const { return Heap.contains(Ptr); }
 
   /// Base address of the small-object reservation (nullptr if invalid).
-  /// The sharded layer registers [heapBase(), heapBase() + heapBytes()) in
-  /// its address-range registry to route frees to the owning shard.
+  /// The sharded layer records [heapBase(), heapBase() + heapBytes()) in
+  /// its shard range array to route frees to the owning shard.
   const void *heapBase() const { return Heap.base(); }
 
   /// Size in bytes of the small-object reservation (0 if invalid).
@@ -251,7 +254,9 @@ public:
   size_t drainRemoteFrees(int Class);
 
   /// Epoch-maintenance pass over class \p Class's partition: sidecar drain
-  /// plus empty-partition page return (see RandomizedPartition::maintain).
+  /// plus the span scanner, which returns the data pages lying wholly inside
+  /// runs of free slots to the OS (see RandomizedPartition::maintain; the
+  /// sharded sweeper runs it only at or below PartialReturnFillGate).
   /// Callers hold the class's partition lock in concurrent configurations.
   RandomizedPartition::MaintainOutcome maintain(int Class);
 
@@ -272,8 +277,12 @@ public:
     return partition(Class).threshold();
   }
 
-  /// Bytes currently live (rounded sizes; includes large objects).
+  /// Bytes currently live (rounded sizes; includes large objects). Reads
+  /// relaxed gauges only.
   size_t bytesLive() const;
+
+  /// Number of live large objects. Same locking rule as the large path.
+  size_t liveLargeObjects() const { return LargeObjects.liveCount(); }
 
   /// The heap options this instance was built with.
   const DieHardOptions &options() const { return Opts; }
@@ -282,6 +291,11 @@ public:
   /// large-object path. Not synchronized: call single-threaded or use the
   /// sharded layer's locked aggregation.
   DieHardStats stats() const;
+
+  /// Folds the heap-level counters (large path, foreign frees, realloc
+  /// rejects) into \p Total. Lock-free: every field is a RelaxedCounter.
+  /// The one fold both stats() and the sharded layer's aggregation use.
+  void addHeapStats(DieHardStats &Total) const;
 
   /// The seed actually used (after resolving Seed == 0 to a random one).
   uint64_t seed() const { return ResolvedSeed; }
@@ -310,15 +324,16 @@ private:
   LargeObjectManager LargeObjects;
 
   // Large-object and foreign-pointer accounting. These live at the heap
-  // level (not in any partition) and are only touched by the stand-alone
-  // large path and by frees of pointers outside the reservation — paths the
-  // sharded layer never routes into a shard, so they need no lock there.
-  uint64_t LargeAllocationCount = 0;
-  uint64_t LargeFreeCount = 0;
-  uint64_t LargeFailedCount = 0;
-  uint64_t ForeignIgnoredFrees = 0;
-  uint64_t ReallocRejectCount = 0;
-  size_t LargeLiveBytes = 0;
+  // level (not in any partition) and are only mutated by the large path,
+  // frees of pointers outside the reservation and reallocate() — under the
+  // sharded layer's LargeLock there. RelaxedCounter so stats readers need
+  // no lock.
+  RelaxedCounter LargeAllocationCount;
+  RelaxedCounter LargeFreeCount;
+  RelaxedCounter LargeFailedCount;
+  RelaxedCounter ForeignIgnoredFrees;
+  RelaxedCounter ReallocRejectCount;
+  RelaxedCounter LargeLiveBytes;
 };
 
 } // namespace diehard

@@ -6,16 +6,16 @@
 ///
 /// \file
 /// Implementation of the sharded heap: thread-token assignment, owner lookup
-/// through the range array and AddressRangeMap, per-partition locking, the
-/// overflow routing slow path, and the shared large-object path. See the
-/// header for the locking discipline.
+/// through the range array, per-partition locking, the overflow routing slow
+/// path, and the large-object path through shard 0. See the header for the
+/// locking discipline.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/ShardedHeap.h"
 
 #include "core/SizeClass.h"
-#include "support/RealRandomSource.h"
+#include "support/Rng.h"
 
 #include <algorithm>
 #include <atomic>
@@ -28,10 +28,6 @@
 namespace diehard {
 
 namespace {
-
-/// Salt for the large-object fill RNG, so its stream is unrelated to any
-/// shard's placement streams under a fixed seed.
-constexpr uint64_t LargeSeedSalt = 0xD1E4A8D0B5E7ULL;
 
 /// Monotonic source of heap-instance ids (starting at 1; 0 is the memo's
 /// "empty" key). Ids are never reused, so a thread's cache memo can never
@@ -106,9 +102,6 @@ ShardedHeap::ShardedHeap(const ShardedHeapOptions &Options) : Opts(Options) {
     }
   }
 
-  LargeRand.setSeed(Opts.Heap.Seed != 0 ? Opts.Heap.Seed ^ LargeSeedSalt
-                                        : realRandomSeed());
-
   Id = NextHeapId.fetch_add(1, std::memory_order_relaxed);
   if (Opts.ThreadCacheSlots != 0) {
     size_t K = Opts.ThreadCacheSlots;
@@ -149,14 +142,14 @@ uint32_t ShardedHeap::ownerOf(const void *Ptr) const {
   for (size_t I = 0; I < ShardRanges.size(); ++I)
     if (P >= ShardRanges[I].Begin && P < ShardRanges[I].End)
       return static_cast<uint32_t>(I);
-  return Registry.ownerOf(Ptr); // LargeOwner for live large objects.
+  return LargeOwner;
 }
 
 size_t ShardedHeap::shardIndexOf(const void *Ptr) const {
   uint32_t Owner = ownerOf(Ptr);
-  if (Owner == AddressRangeMap::NoOwner)
-    return SIZE_MAX;
-  return Owner;
+  if (Owner != LargeOwner)
+    return Owner;
+  return sizeOfOwned(Ptr, Owner) != 0 ? numShards() : SIZE_MAX;
 }
 
 uint32_t ShardedHeap::homeShard() const {
@@ -438,25 +431,7 @@ uint64_t ShardedHeap::remoteFreeRejects() const {
 
 void *ShardedHeap::allocateLarge(size_t Size) {
   std::lock_guard<std::mutex> Guard(LargeLock);
-  void *Ptr = LargeObjects.allocate(Size);
-  if (Ptr == nullptr) {
-    ++LargeFailedCount;
-    return nullptr;
-  }
-  if (!Registry.insert(Ptr, Size, LargeOwner)) {
-    // Registry node allocation failed (heap exhausted). Unwind: an object
-    // the registry cannot route could never be freed or sized.
-    LargeObjects.deallocate(Ptr);
-    ++LargeFailedCount;
-    return nullptr;
-  }
-  ++LargeAllocCount;
-  LargeLiveBytes += Size;
-  if (Opts.Heap.RandomFillObjects) {
-    // Same fill as DieHardHeap, from the dedicated large-object stream.
-    randomFillWords(LargeRand, Ptr, Size & ~size_t(3));
-  }
-  return Ptr;
+  return Shards[0]->Heap.allocate(Size);
 }
 
 void ShardedHeap::deallocate(void *Ptr) {
@@ -469,9 +444,8 @@ void ShardedHeap::deferOrDeallocate(void *Ptr, uint32_t Owner) {
   // Small-object frees — home or cross-thread alike — park in the calling
   // thread's deferred buffer with their owner pre-resolved; validation
   // happens at flush time by the owning partition, exactly as it would
-  // have at free time. Large and foreign pointers keep their locked paths.
-  if (CacheSlotsPerClass != 0 && Owner != AddressRangeMap::NoOwner &&
-      Owner != LargeOwner) {
+  // have at free time. Large and foreign pointers keep their locked path.
+  if (CacheSlotsPerClass != 0 && Owner != LargeOwner) {
     ThreadCache *TC = cacheForThread();
     if (TC != nullptr) {
       CacheOpGuard Bracket(*this, *TC);
@@ -487,12 +461,6 @@ void ShardedHeap::deferOrDeallocate(void *Ptr, uint32_t Owner) {
 }
 
 void ShardedHeap::deallocateOwned(void *Ptr, uint32_t Owner) {
-  if (Owner == AddressRangeMap::NoOwner) {
-    // Foreign pointer: no shard, no large object. Count and ignore, matching
-    // DieHardHeap's treatment of addresses it does not own.
-    ForeignFrees.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   if (Owner == LargeOwner) {
     deallocateLarge(Ptr);
     return;
@@ -515,16 +483,11 @@ void ShardedHeap::deallocateOwned(void *Ptr, uint32_t Owner) {
 }
 
 void ShardedHeap::deallocateLarge(void *Ptr) {
+  // Shard 0's large-object table validates the pointer: a live large object
+  // is unmapped; an interior pointer, a double free or a foreign pointer is
+  // counted once in IgnoredFrees and ignored.
   std::lock_guard<std::mutex> Guard(LargeLock);
-  size_t Size = LargeObjects.getSize(Ptr);
-  if (Size != 0 && LargeObjects.deallocate(Ptr)) {
-    Registry.erase(Ptr);
-    ++LargeFreeCount;
-    LargeLiveBytes -= Size;
-    return;
-  }
-  // Interior pointer into a live large object, or a double free.
-  ++LargeIgnoredFrees;
+  Shards[0]->Heap.deallocate(Ptr);
 }
 
 void *ShardedHeap::reallocate(void *Ptr, size_t NewSize) {
@@ -573,11 +536,9 @@ size_t ShardedHeap::getObjectSize(const void *Ptr) const {
 }
 
 size_t ShardedHeap::sizeOfOwned(const void *Ptr, uint32_t Owner) const {
-  if (Owner == AddressRangeMap::NoOwner)
-    return 0;
   if (Owner == LargeOwner) {
     std::lock_guard<std::mutex> Guard(LargeLock);
-    return LargeObjects.getSize(Ptr);
+    return Shards[0]->Heap.getObjectSize(Ptr);
   }
   const Shard &S = *Shards[Owner];
   int Class = S.Heap.partitionIndexOf(Ptr);
@@ -587,20 +548,17 @@ size_t ShardedHeap::sizeOfOwned(const void *Ptr, uint32_t Owner) const {
 
 DieHardStats ShardedHeap::sharedCounterSnapshot() const {
   // Everything both stats() and statsApprox() read the same way: the
-  // heap-level relaxed gauges (no locks anywhere).
+  // heap-level relaxed gauges (no locks anywhere). Only shard 0 serves the
+  // large path, so the other shards' heap-level counters stay zero.
   DieHardStats Total;
+  Shards[0]->Heap.addHeapStats(Total);
   Total.Allocations = FoldedPops.load(std::memory_order_relaxed);
   Total.CacheRefills = CacheRefillCount.load(std::memory_order_relaxed);
   Total.CacheFlushes = CacheFlushCount.load(std::memory_order_relaxed);
-  Total.LargeAllocations = LargeAllocCount;
-  Total.LargeFrees = LargeFreeCount;
-  Total.FailedAllocations = LargeFailedCount;
-  Total.IgnoredFrees = LargeIgnoredFrees;
-  Total.IgnoredFrees += ForeignFrees.load(std::memory_order_relaxed);
   Total.OverflowAllocations = OverflowCount.load(std::memory_order_relaxed);
   Total.FailedAllocations +=
       OverflowFailedCount.load(std::memory_order_relaxed);
-  Total.ReallocRejects = ReallocRejectCount.load(std::memory_order_relaxed);
+  Total.ReallocRejects += ReallocRejectCount.load(std::memory_order_relaxed);
   Total.SweepPasses = SweepPassCount.load(std::memory_order_relaxed);
   Total.AgedCaches = AgedCacheCount.load(std::memory_order_relaxed);
   return Total;
@@ -624,12 +582,6 @@ DieHardStats ShardedHeap::stats() const {
       std::lock_guard<std::mutex> Guard(partitionLock(*S, C));
       addPartitionStats(Total, S->Heap.partition(C));
     }
-    // A shard heap's own large path is never exercised behind this layer
-    // (large requests use the shared path above, and only in-reservation
-    // pointers route into a shard), so its heap-level large counters stay
-    // zero forever — nothing to fold in, and skipping them keeps this
-    // aggregation off DieHardHeap::stats(), whose unlocked partition reads
-    // would race with concurrent allocation.
   }
   return Total;
 }
@@ -659,18 +611,17 @@ DieHardStats ShardedHeap::statsApprox() const {
 }
 
 size_t ShardedHeap::bytesLive() const {
-  // Gauges all the way down (the large live-byte counter included): no
-  // locks needed.
-  size_t Total = LargeLiveBytes;
+  // Gauges all the way down (shard 0's large live bytes included): no locks
+  // needed.
+  size_t Total = 0;
   for (const std::unique_ptr<Shard> &S : Shards)
-    for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
-      Total += S->Heap.partition(C).liveBytes();
+    Total += S->Heap.bytesLive();
   return Total;
 }
 
 size_t ShardedHeap::liveLargeObjects() const {
   std::lock_guard<std::mutex> Guard(LargeLock);
-  return LargeObjects.liveCount();
+  return Shards[0]->Heap.liveLargeObjects();
 }
 
 uint64_t ShardedHeap::seed() const { return Shards[0]->Heap.seed(); }
@@ -684,22 +635,6 @@ uint64_t ShardedHeap::pagesReturned() const {
   for (const std::unique_ptr<Shard> &S : Shards)
     for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
       Total += S->Heap.partition(C).stats().PagesReturned;
-  return Total;
-}
-
-uint64_t ShardedHeap::partialReturns() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards)
-    for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
-      Total += S->Heap.partition(C).stats().PartialReturns;
-  return Total;
-}
-
-uint64_t ShardedHeap::spansReleased() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards)
-    for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
-      Total += S->Heap.partition(C).stats().SpansReleased;
   return Total;
 }
 

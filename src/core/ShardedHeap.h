@@ -27,11 +27,14 @@
 /// after construction, so they are matched against a lock-free array of
 /// ranges — and the partition index within the owner is derived from the
 /// offset, again lock-free — before exactly one partition lock is taken.
-/// Live large objects (which come and go) are looked up in an
-/// AddressRangeMap under a shared lock. Objects above
-/// SizeClass::MaxObjectSize bypass the shards entirely and go to one shared
-/// LargeObjectManager behind its own lock, so large-object traffic never
-/// serializes small-object traffic.
+/// A pointer no shard range covers goes to the large-object path. Objects
+/// above SizeClass::MaxObjectSize go through shard 0's own DieHardHeap
+/// large path under one LargeLock: its LargeObjectManager table is the only
+/// large-object registry, and it decides whether such a pointer is a live
+/// large object or a foreign one. That path touches only shard 0's
+/// heap-level state (its large-object table, heap RNG and large counters),
+/// never a partition, so large-object traffic never serializes small-object
+/// traffic.
 ///
 /// Overflow routing (DIEHARD_OVERFLOW): when the calling thread's home
 /// partition is at its 1/M bound, the allocation is routed to the same
@@ -42,15 +45,11 @@
 /// any cross-thread free. Disabled, the strict per-shard bound applies and
 /// saturation returns nullptr as in a lone DieHardHeap.
 ///
-/// With NumShards == 1, small-object behaviour is bit-identical to a lone
-/// DieHardHeap with the same options: one shard, same seed, same per-class
-/// RNG streams, same slots (a unit test enforces this; overflow routing
-/// never engages with no siblings). The one divergence is replicated mode
-/// with large objects: a lone DieHardHeap fills those from its heap-level
-/// stream, while this layer fills them from a dedicated stream — placement
-/// remains deterministic per seed (which is the invariant replica voting
-/// needs; replicas all run this code), it just differs from the unsharded
-/// heap's sequence. Replicas run one shard so scheduling cannot perturb
+/// With NumShards == 1, behaviour is bit-identical to a lone DieHardHeap
+/// with the same options: one shard, same seed, same per-class RNG streams,
+/// same slots, and the same heap-level stream filling large objects in
+/// replicated mode (unit tests enforce both; overflow routing never engages
+/// with no siblings). Replicas run one shard so scheduling cannot perturb
 /// their allocation order.
 ///
 /// Thread-cache tier (ThreadCacheSlots > 0 / DIEHARD_TCACHE): each thread
@@ -82,11 +81,12 @@
 /// have been quiet for two full epochs — the whole cache (deferred frees
 /// included) flushes through the ordinary full-flush path without the
 /// owner thread exiting; and (2) runs RandomizedPartition::maintain() on
-/// every partition with pending sidecar entries or a newly empty region,
-/// so in-flight cross-shard frees of idle partitions materialize and fully
-/// empty partitions hand their data pages back to the OS (MADV_DONTNEED;
-/// the bitmap metadata is untouched, so the 1/M bound and free validation
-/// are unchanged).
+/// every partition with pending sidecar entries, or with frees since its
+/// last span scan and a fill at or below PartialReturnFillGate. In-flight
+/// cross-shard frees materialize, and the span scanner hands the data
+/// pages lying wholly inside runs of free slots back to the OS (the bitmap
+/// metadata is untouched, so the 1/M bound and free validation are
+/// unchanged).
 ///
 /// Safety of foreign-cache aging rests on a Dekker-style handshake, active
 /// only when the sweeper is configured: every owner cache operation is
@@ -106,7 +106,7 @@
 /// usual fork-then-exec pattern).
 ///
 /// Lock ordering: sweeper list lock -> sweeper pass gate -> cache registry
-/// lock -> LargeLock -> AddressRangeMap lock -> partition lock (the
+/// lock -> partition lock, and LargeLock is a leaf lock (the
 /// registry lock is only ever combined with partition locks, by the
 /// thread-exit flush and the sweeper's cache aging; stats() takes it and
 /// releases it before touching partitions; the sweeper's pass gate is held
@@ -121,12 +121,11 @@
 /// sidecar drains happen only under the drained partition's lock. The
 /// sweeper never holds any lock across a blocking call: its
 /// pthread_cond_timedwait releases the pass gate, and every lock it takes
-/// during a pass is released before the next wait. Nothing
-/// that runs under LargeLock allocates through the global allocator — the
-/// large-object validity table is mmap-backed precisely so that, under the
-/// malloc shim, the locked large path can never re-enter itself. (The
-/// registry's map nodes are small and are therefore served by a shard, a
-/// lock this path is allowed to take.)
+/// during a pass is released before the next wait. LargeLock is a leaf:
+/// nothing that runs under it takes another heap lock or allocates through
+/// the global allocator — the large-object validity table is mmap-backed
+/// precisely so that, under the malloc shim, the locked large path can
+/// never re-enter itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -134,10 +133,7 @@
 #define DIEHARD_CORE_SHARDEDHEAP_H
 
 #include "core/DieHardHeap.h"
-#include "core/LargeObjectManager.h"
 #include "core/ThreadCache.h"
-#include "support/AddressRangeMap.h"
-#include "support/Rng.h"
 
 #include <atomic>
 #include <cstddef>
@@ -170,12 +166,6 @@ struct ShardedHeapOptions {
   /// The shim maps DIEHARD_OVERFLOW onto this.
   bool OverflowRouting = true;
 
-  /// Lock at partition granularity (default). False degrades every shard
-  /// to one coarse lock shared by all twelve partitions — the pre-partition
-  /// behaviour — kept as a measurement baseline for bench_mt_scaling's
-  /// contention scenario.
-  bool PartitionLocking = true;
-
   /// K: per-thread, per-size-class cached slot count. 0 (default) disables
   /// the thread-cache tier entirely, leaving every operation on the locked
   /// paths — and small-object placement bit-identical to a lone
@@ -187,7 +177,8 @@ struct ShardedHeapOptions {
   size_t ThreadCacheSlots = 0;
 
   /// Start the background epoch sweeper (see the file comment): periodic
-  /// sidecar drains, quiet-cache aging, and empty-partition page return.
+  /// sidecar drains, quiet-cache aging, and the span scanner's page return
+  /// on partitions at or below PartialReturnFillGate.
   /// Off by default — and the shim forces it off for replicas, whose
   /// per-seed determinism a concurrent maintenance thread would perturb.
   /// The shim maps DIEHARD_SWEEPER onto this.
@@ -230,7 +221,7 @@ public:
 
   /// Allocates \p Size bytes from the calling thread's home shard — or, if
   /// the home partition is saturated and overflow routing is on, from the
-  /// least-loaded sibling shard's same-class partition — or from the shared
+  /// least-loaded sibling shard's same-class partition — or from shard 0's
   /// large-object path when \p Size exceeds SizeClass::MaxObjectSize.
   /// \returns nullptr on failure, as DieHardHeap.
   void *allocate(size_t Size);
@@ -262,8 +253,9 @@ public:
   /// the heap.
   const DieHardHeap &shard(size_t Index) const;
 
-  /// Index of the shard owning \p Ptr, numShards() for a live large object,
-  /// or SIZE_MAX if no shard owns it.
+  /// Index of the shard owning \p Ptr, numShards() for the base address of
+  /// a live large object, or SIZE_MAX otherwise (interior pointers into
+  /// large objects included).
   size_t shardIndexOf(const void *Ptr) const;
 
   /// The calling thread's home shard index.
@@ -358,14 +350,6 @@ public:
   /// all shards. Lock-free read.
   uint64_t pagesReturned() const;
 
-  /// Partition maintain() scans that released at least one page, across
-  /// all shards. Lock-free read.
-  uint64_t partialReturns() const;
-
-  /// Contiguous page runs advised away (one madvise call each), across all
-  /// shards. Lock-free read.
-  uint64_t spansReleased() const;
-
   /// Fill-ratio gate for the sweeper's partial page return: partitions
   /// fuller than this are skipped by the pass (a mostly-set bitmap walk
   /// finds few releasable pages for its cost; the partition will be
@@ -435,20 +419,19 @@ private:
     DieHardHeap Heap;
   };
 
-  /// The lock guarding partition \p Class of \p S. With PartitionLocking
-  /// off, every class maps to lock 0 (one coarse lock per shard).
-  std::mutex &partitionLock(const Shard &S, int Class) const {
-    return S.Locks[Opts.PartitionLocking ? Class : 0].M;
+  /// The lock guarding partition \p Class of \p S.
+  static std::mutex &partitionLock(const Shard &S, int Class) {
+    return S.Locks[Class].M;
   }
 
   /// Returns the calling thread's home shard index (assigning a token on
   /// first use).
   uint32_t homeShard() const;
 
-  /// Resolves the owner of \p Ptr: a shard index, LargeOwner, or
-  /// AddressRangeMap::NoOwner. Shard reservations are matched lock-free
-  /// against the immutable range array; only the (rarer) large-object case
-  /// touches the registry's lock.
+  /// Resolves the owner of \p Ptr: a shard index, or LargeOwner when no
+  /// shard reservation covers it (a large object or a foreign pointer, which
+  /// the large path tells apart). Lock-free: shard reservations are matched
+  /// against the immutable range array.
   uint32_t ownerOf(const void *Ptr) const;
 
   /// getObjectSize / deallocate against an already-resolved owner.
@@ -483,8 +466,8 @@ private:
   void flushCacheFully(ThreadCache &TC);
 
   /// The heap-level relaxed gauges common to stats() and statsApprox()
-  /// (large path, foreign frees, overflow, cache refill/flush counters,
-  /// folded pops). Lock-free.
+  /// (shard 0's large path and foreign frees, overflow, cache refill/flush
+  /// counters, folded pops). Lock-free.
   DieHardStats sharedCounterSnapshot() const;
 
   /// Locks class \p Class of shard \p Index and allocates \p Size bytes.
@@ -521,7 +504,8 @@ private:
   static void sweeperAtforkParent();
   static void sweeperAtforkChild();
 
-  /// Large-object path (caller verified Size > SizeClass::MaxObjectSize).
+  /// Large-object path through shard 0's DieHardHeap under LargeLock
+  /// (allocateLarge: caller verified Size > SizeClass::MaxObjectSize).
   void *allocateLarge(size_t Size);
   void deallocateLarge(void *Ptr);
 
@@ -529,7 +513,7 @@ private:
   bool Valid = false;
   std::vector<std::unique_ptr<Shard>> Shards;
 
-  /// Owner id used for large objects (== numShards()).
+  /// Owner id meaning "owned by no shard" (== numShards()).
   uint32_t LargeOwner = 0;
 
   /// One [begin, end) per shard, fixed at construction and read without
@@ -540,22 +524,9 @@ private:
   };
   std::vector<ShardRange> ShardRanges;
 
-  /// Live large objects only. Mutated exclusively under LargeLock, so a
-  /// concurrent unmap-then-remap of the same address cannot drop a fresh
-  /// entry.
-  AddressRangeMap Registry;
-
+  /// Serializes shard 0's heap-level members (large-object table, heap RNG,
+  /// large counters); the only path that touches them.
   mutable std::mutex LargeLock;
-  LargeObjectManager LargeObjects;
-  Rng LargeRand; ///< Fills large objects in replica mode.
-
-  // Large-path counters: mutated only under LargeLock, RelaxedCounter so
-  // stats()/statsApprox()/bytesLive() read them without it.
-  RelaxedCounter LargeAllocCount;
-  RelaxedCounter LargeFreeCount;
-  RelaxedCounter LargeFailedCount;
-  RelaxedCounter LargeIgnoredFrees;
-  RelaxedCounter LargeLiveBytes;
 
   // --- Thread-cache tier ---------------------------------------------------
 
@@ -573,8 +544,11 @@ private:
   ThreadCacheAnchor Caches;
 
   /// Cache-tier aggregates. Pops fold in at refill/flush boundaries so the
-  /// per-allocation fast path touches no shared atomics.
-  std::atomic<uint64_t> FoldedPops{0};
+  /// per-allocation fast path touches no shared atomics. Every thread writes
+  /// them at each refill and flush, so they start a cache line of their
+  /// own: on the line of Id and CacheSlotsPerClass, which every malloc and
+  /// free reads, they would bounce that line between cores.
+  alignas(64) std::atomic<uint64_t> FoldedPops{0};
   std::atomic<uint64_t> CacheRefillCount{0};
   std::atomic<uint64_t> CacheFlushCount{0};
 
@@ -590,11 +564,6 @@ private:
 
   /// Wild reallocs refused (pointer owned by no shard or large object).
   std::atomic<uint64_t> ReallocRejectCount{0};
-
-  /// Frees of pointers no shard or large object owns (e.g. pre-shim
-  /// allocations of the dynamic loader). Atomic so the foreign-free path
-  /// does not contend with the syscall-heavy large path.
-  mutable std::atomic<uint64_t> ForeignFrees{0};
 
   // --- Epoch sweeper state -------------------------------------------------
 

@@ -70,8 +70,8 @@
 /// constructor guard that serializes first-time heap construction and is
 /// never touched again once the heap pointer is published.
 ///
-/// Re-entrancy: constructing the heap allocates metadata (bitmaps and the
-/// shard address registry), which re-enters malloc on the same thread. The
+/// Re-entrancy: constructing the heap allocates metadata (the shard objects
+/// and the shard range array), which re-enters malloc on the same thread. The
 /// constructor guard is recursive, and those nested requests are served from
 /// a static bootstrap arena; frees of bootstrap memory are ignored forever
 /// after.
@@ -107,7 +107,7 @@ struct LockGuard {
 };
 
 // Bootstrap arena for allocations made while the heap itself is being
-// constructed (bitmap storage, registry nodes and friends).
+// constructed (the shard objects, the shard range array and friends).
 constexpr size_t BootstrapBytes = 4 << 20;
 alignas(16) char BootstrapArena[BootstrapBytes];
 size_t BootstrapUsed = 0;
@@ -468,18 +468,6 @@ size_t diehard_aged_caches(void) {
 size_t diehard_pages_returned(void) {
   ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
   return H != nullptr ? static_cast<size_t>(H->pagesReturned()) : 0;
-}
-
-/// Partition maintenance scans that released at least one page. Lock-free.
-size_t diehard_partial_returns(void) {
-  ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
-  return H != nullptr ? static_cast<size_t>(H->partialReturns()) : 0;
-}
-
-/// Contiguous page runs advised away (one madvise call each). Lock-free.
-size_t diehard_spans_released(void) {
-  ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
-  return H != nullptr ? static_cast<size_t>(H->spansReleased()) : 0;
 }
 
 } // extern "C"

@@ -8,8 +8,8 @@
 /// Tests for the sharded heap layer: single-shard equivalence with a lone
 /// DieHardHeap, cross-thread frees routed to the owning shard, thread churn
 /// beyond the shard count, per-partition lock concurrency, overflow routing
-/// to sibling shards, stats aggregation, and the shared large-object path.
-/// The multithreaded cases double as the TSan/ASan workload for the
+/// to sibling shards, stats aggregation, and the large-object path through
+/// shard 0. The multithreaded cases double as the TSan/ASan workload for the
 /// sanitizer CI lanes.
 ///
 //===----------------------------------------------------------------------===//
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -85,6 +86,40 @@ TEST(ShardedHeapTest, SingleShardMatchesDieHardHeapBitForBit) {
     ASSERT_EQ(offsetFromBase(A, Reference),
               offsetFromBase(B, Sharded.shard(0)));
   }
+}
+
+TEST(ShardedHeapTest, SingleShardMatchesDieHardHeapLargeFills) {
+  // Replicated mode fills every allocated object with random values. One
+  // shard must reproduce a lone DieHardHeap's fills byte for byte, large
+  // objects included: both fill those from the heap-level stream.
+  DieHardOptions Plain;
+  Plain.HeapSize = 96 * 1024 * 1024;
+  Plain.Seed = 42;
+  Plain.RandomFillObjects = true;
+  DieHardHeap Reference(Plain);
+
+  ShardedHeapOptions O = smallOptions(1);
+  O.Heap.RandomFillObjects = true;
+  ShardedHeap Sharded(O);
+  ASSERT_TRUE(Reference.isValid());
+  ASSERT_TRUE(Sharded.isValid());
+
+  const size_t Sizes[] = {24, 20000, 512, 70000, 16385};
+  std::vector<void *> FromReference, FromSharded;
+  for (size_t Size : Sizes) {
+    void *A = Reference.allocate(Size);
+    void *B = Sharded.allocate(Size);
+    ASSERT_NE(A, nullptr);
+    ASSERT_NE(B, nullptr);
+    ASSERT_EQ(std::memcmp(A, B, Size), 0) << "fill diverged for size " << Size;
+    FromReference.push_back(A);
+    FromSharded.push_back(B);
+  }
+  for (void *P : FromReference)
+    Reference.deallocate(P);
+  for (void *P : FromSharded)
+    Sharded.deallocate(P);
+  EXPECT_EQ(Sharded.bytesLive(), 0u);
 }
 
 TEST(ShardedHeapTest, ResolvesShardCountAndDerivesSeeds) {
@@ -534,40 +569,6 @@ TEST(ShardedHeapTest, OverflowStopsWhenEverySiblingIsSaturated) {
   EXPECT_EQ(H.bytesLive(), 0u);
 }
 
-TEST(ShardedHeapTest, CoarseLockModeKeepsSemantics) {
-  // PartitionLocking=false degrades to one lock per shard (the measurement
-  // baseline for bench_mt_scaling). Behaviour must be unchanged — only the
-  // contention profile differs.
-  ShardedHeapOptions O = smallOptions(2);
-  O.PartitionLocking = false;
-  ShardedHeap H(O);
-  ASSERT_TRUE(H.isValid());
-
-  std::atomic<int> Failures{0};
-  std::vector<std::thread> Workers;
-  for (int T = 0; T < 4; ++T)
-    Workers.emplace_back([&H, &Failures, T] {
-      std::vector<void *> Live;
-      for (int R = 0; R < 1000; ++R) {
-        void *P = H.allocate(8u << (R % 6));
-        if (P == nullptr) {
-          ++Failures;
-          return;
-        }
-        Live.push_back(P);
-      }
-      (void)T;
-      for (void *P : Live)
-        H.deallocate(P);
-    });
-  for (std::thread &W : Workers)
-    W.join();
-  EXPECT_EQ(Failures.load(), 0);
-  DieHardStats S = H.stats();
-  EXPECT_EQ(S.Allocations, S.Frees);
-  EXPECT_EQ(H.bytesLive(), 0u);
-}
-
 TEST(ShardedHeapTest, AdapterDrivesWorkloadsThroughTheShards) {
   // The ShardedHeapAdapter facade lets the workload/bench harnesses drive
   // the full sharded front end; the checksum must match the system
@@ -677,6 +678,95 @@ TEST(ShardedHeapTest, ConcurrentMixedStress) {
   EXPECT_EQ(S.LargeAllocations, S.LargeFrees);
   EXPECT_EQ(H.bytesLive(), 0u);
   EXPECT_EQ(H.liveLargeObjects(), 0u);
+}
+
+TEST(LargeObjectConcurrencyTest, ShardZeroLargePathBesideItsPartitions) {
+  // Every large request runs through shard 0's DieHardHeap under LargeLock,
+  // while threads homed on shard 0 use that heap's partitions under their
+  // own locks, and a reader polls the lock-free gauges. The large path may
+  // touch only shard 0's heap-level members; TSan checks that it does.
+  ShardedHeap H(smallOptions(4, 23));
+  ASSERT_TRUE(H.isValid());
+
+  void *StableLarge = H.allocate(SizeClass::MaxObjectSize + 100);
+  ASSERT_NE(StableLarge, nullptr);
+  int Foreign = 0;
+
+  std::atomic<bool> Done{false};
+  std::atomic<int> Failures{0};
+  std::mutex PoolLock;
+  std::vector<std::pair<char *, size_t>> Pool;
+
+  std::vector<std::thread> Churners;
+  for (int T = 0; T < 4; ++T)
+    Churners.emplace_back([&, T] {
+      unsigned State = static_cast<unsigned>(T) * 48271u + 7;
+      for (int I = 0; I < 150; ++I) {
+        State = State * 1664525u + 1013904223u;
+        size_t Size = SizeClass::MaxObjectSize + 1 + State % (48 * 1024);
+        auto *P = static_cast<char *>(H.allocate(Size));
+        if (P == nullptr) {
+          ++Failures;
+          return;
+        }
+        P[0] = static_cast<char>(T);
+        P[Size - 1] = static_cast<char>(T);
+        std::unique_lock<std::mutex> G(PoolLock);
+        Pool.emplace_back(P, Size);
+        if (Pool.size() > 6) {
+          auto [Q, QSize] = Pool.front();
+          Pool.erase(Pool.begin());
+          G.unlock();
+          if (H.getObjectSize(Q) != QSize)
+            ++Failures;
+          H.deallocate(Q); // Often another thread's object.
+        }
+      }
+    });
+  for (int T = 0; T < 2; ++T)
+    Churners.emplace_back([&, T] {
+      ShardedHeap::pinThreadToken(0);
+      std::vector<void *> Live;
+      for (int I = 0; I < 3000; ++I) {
+        void *P = H.allocate(size_t(8) << ((I + T) % SizeClass::NumClasses));
+        if (P == nullptr || H.shardIndexOf(P) != 0) {
+          ++Failures;
+          return;
+        }
+        Live.push_back(P);
+        if (Live.size() > 64) {
+          H.deallocate(Live.front());
+          Live.erase(Live.begin());
+        }
+      }
+      for (void *P : Live)
+        H.deallocate(P);
+    });
+  std::thread Reader([&] {
+    while (!Done.load(std::memory_order_acquire)) {
+      DieHardStats S = H.statsApprox();
+      if (S.LargeFrees > S.LargeAllocations || H.bytesLive() == 0 ||
+          H.shardIndexOf(StableLarge) != H.numShards() ||
+          H.shardIndexOf(static_cast<char *>(StableLarge) + 1) != SIZE_MAX ||
+          H.shardIndexOf(&Foreign) != SIZE_MAX)
+        ++Failures;
+    }
+  });
+  for (std::thread &T : Churners)
+    T.join();
+  Done.store(true, std::memory_order_release);
+  Reader.join();
+  for (auto &[P, Size] : Pool)
+    H.deallocate(P);
+  H.deallocate(StableLarge);
+  H.drainRemoteFrees();
+
+  EXPECT_EQ(Failures.load(), 0);
+  DieHardStats S = H.stats();
+  EXPECT_EQ(S.LargeAllocations, 4u * 150u + 1u);
+  EXPECT_EQ(S.LargeFrees, S.LargeAllocations);
+  EXPECT_EQ(H.liveLargeObjects(), 0u);
+  EXPECT_EQ(H.bytesLive(), 0u);
 }
 
 } // namespace

@@ -45,7 +45,6 @@ import sys
 # value(config)/value(reference) at equal thread counts.
 REFERENCE_CONFIG = {
     "sharding": "global",
-    "mixed_class": "coarse_lock",
     "tcache": "cache_off",
     "peak_espresso": "lea",
     "churn_idle": "return-off",
