@@ -115,6 +115,12 @@ void DieHardHeap::remoteFree(int Class, void *Ptr) {
   Partitions[Class].remoteFree(Ptr);
 }
 
+void DieHardHeap::remoteFreeBatch(int Class, void *const *Ptrs,
+                                  size_t Count) {
+  assert(Class >= 0 && Class < NumPartitions && "size class out of range");
+  Partitions[Class].remoteFreeBatch(Ptrs, Count);
+}
+
 size_t DieHardHeap::drainRemoteFrees(int Class) {
   assert(Class >= 0 && Class < NumPartitions && "size class out of range");
   return Partitions[Class].drainRemoteFrees();

@@ -248,6 +248,10 @@ public:
   /// thread concurrently with lock-holding operations on the partition.
   void remoteFree(int Class, void *Ptr);
 
+  /// remoteFree() of \p Count pointers of class \p Class, spliced onto the
+  /// sidecar in one step (see RandomizedPartition::remoteFreeBatch).
+  void remoteFreeBatch(int Class, void *const *Ptrs, size_t Count);
+
   /// Drains class \p Class's remote-free sidecar through the validated
   /// free path. Callers hold the class's partition lock in concurrent
   /// configurations. \returns the number of entries processed.

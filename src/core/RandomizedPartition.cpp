@@ -141,7 +141,7 @@ size_t RandomizedPartition::claimCleanSlot(uint64_t &Probes,
 }
 
 void *RandomizedPartition::allocate() {
-  size_t Live = InUse.load(std::memory_order_relaxed);
+  size_t Live = InUse;
   if (Live >= Threshold) {
     // At threshold: the 1/M bound says no more memory for this class.
     ++Stats.FailedAllocations;
@@ -157,9 +157,10 @@ void *RandomizedPartition::allocate() {
     ++Stats.FailedAllocations;
     return nullptr;
   }
-  InUse.fetch_add(1, std::memory_order_relaxed);
+  // Not Live + 1: claimCleanSlot() may have drained the sidecar, which
+  // lowers InUse after Live was read. The increment reloads it.
+  ++InUse;
   ++Stats.Allocations;
-  LiveBytes.fetch_add(ObjectSize, std::memory_order_relaxed);
   // One relaxed load is all the hot path pays for partial page return; the
   // per-page bookkeeping runs only while released pages actually exist.
   // Measured: with the summary fully populated the alloc/free pair costs
@@ -176,7 +177,7 @@ void *RandomizedPartition::allocate() {
 }
 
 size_t RandomizedPartition::claimRandomSlots(void **Out, size_t MaxCount) {
-  size_t Live = InUse.load(std::memory_order_relaxed);
+  size_t Live = InUse;
   if (Live >= Threshold)
     return 0; // Saturated: no refusal counted, the caller owns that call.
   size_t Want = Threshold - Live;
@@ -184,6 +185,12 @@ size_t RandomizedPartition::claimRandomSlots(void **Out, size_t MaxCount) {
     Want = MaxCount;
   if (Live + Want > ActiveLimit)
     growToFit(Live + Want);
+
+  // Only maintain() raises ReleasedPages, and it needs the lock the caller
+  // holds, so one read covers the batch (clearing a page that is no longer
+  // marked is a no-op).
+  const bool PagesReleased =
+      ReleasedPages.load(std::memory_order_relaxed) != 0;
 
   // Each claim runs the exact allocate() probe discipline, so the i-th
   // claimed slot is uniform over the slots free after the first i-1 claims
@@ -194,15 +201,14 @@ size_t RandomizedPartition::claimRandomSlots(void **Out, size_t MaxCount) {
     size_t Index = claimCleanSlot(Probes, Fallbacks);
     if (Index == Slots)
       break; // Unreachable below the threshold; stay defensive.
-    if (ReleasedPages.load(std::memory_order_relaxed) != 0)
+    if (PagesReleased)
       clearReleasedForSlot(Index);
     Out[N++] = Base + Index * ObjectSize;
   }
   Stats.Probes += Probes;
   Stats.ProbeFallbacks += Fallbacks;
   Stats.ClaimedSlots += N;
-  InUse.fetch_add(N, std::memory_order_relaxed);
-  LiveBytes.fetch_add(N * ObjectSize, std::memory_order_relaxed);
+  InUse += N; // A fresh load: the claims may have drained the sidecar.
 
   // Shuffle so the order a cache hands slots out is independent of the
   // order they were claimed (Fisher-Yates from this partition's stream).
@@ -229,67 +235,106 @@ void RandomizedPartition::reclaimSlots(void *const *Ptrs, size_t Count) {
     (void)WasSet;
   }
   Stats.ReturnedSlots += Count;
-  InUse.fetch_sub(Count, std::memory_order_relaxed);
-  LiveBytes.fetch_sub(Count * ObjectSize, std::memory_order_relaxed);
+  InUse -= Count;
+}
+
+bool RandomizedPartition::releaseSlot(void *Ptr) {
+  assert(contains(Ptr) && "caller routes only pointers in this partition");
+  size_t Offset = static_cast<size_t>(static_cast<char *>(Ptr) - Base);
+  // Validity check 1: the offset must be an exact multiple of the object
+  // size. Validity check 2: the slot must currently be allocated. Anything
+  // else is an invalid or double free and is ignored.
+  if (Offset % ObjectSize != 0 || !IsAllocated.tryClear(Offset / ObjectSize))
+    return false;
+  if (FillOnFree)
+    randomFill(Ptr, ObjectSize);
+  return true;
+}
+
+void RandomizedPartition::countFrees(size_t Attempted, size_t Freed) {
+  assert(InUse >= Freed && "bitmap and counter out of sync");
+  Stats.Frees += Freed;
+  Stats.IgnoredFrees += Attempted - Freed;
+  InUse -= Freed;
+}
+
+bool RandomizedPartition::deallocate(void *Ptr) {
+  return deallocateBatch(&Ptr, 1) != 0;
 }
 
 size_t RandomizedPartition::deallocateBatch(void *const *Ptrs,
                                             size_t Count) {
   size_t Freed = 0;
   for (size_t I = 0; I < Count; ++I)
-    if (deallocate(Ptrs[I]))
-      ++Freed;
+    Freed += releaseSlot(Ptrs[I]);
+  countFrees(Count, Freed);
   return Freed;
 }
 
-void RandomizedPartition::remoteFree(void *Ptr) {
-  assert(contains(Ptr) && "caller routes only pointers in this partition");
-  size_t Offset = static_cast<size_t>(static_cast<char *>(Ptr) - Base);
-  if (Offset % ObjectSize != 0) {
+void RandomizedPartition::remoteFreeBatch(void *const *Ptrs, size_t Count) {
+  // The batch's claimed slots form a private chain, newest first — the
+  // order one-at-a-time pushes would leave — until the splice publishes it.
+  uint32_t First = 0; // Slot + 1 of the chain's newest entry; 0 = empty.
+  uint32_t Last = 0;  // Slot of its oldest entry, whose link ends the chain.
+  size_t Pushed = 0;
+  for (size_t I = 0; I < Count; ++I) {
+    assert(contains(Ptrs[I]) &&
+           "caller routes only pointers in this partition");
+    size_t Offset = static_cast<size_t>(static_cast<char *>(Ptrs[I]) - Base);
     // Validity check 1 (a correct slot offset) needs only immutable
     // geometry, so the invalid free is detected right here, lock-free.
-    RemoteRejects.fetch_add(1, std::memory_order_relaxed);
-    return;
+    if (Offset % ObjectSize != 0)
+      continue;
+    auto Slot = static_cast<uint32_t>(Offset / ObjectSize);
+    // Claim the slot's link word. Failure means the slot is already
+    // pending: a second free of the same object — earlier in this batch, or
+    // racing in before the owner drained the first — is a double free,
+    // detected at push time. (The claim is also what makes concurrent
+    // double frees unable to corrupt the chain.)
+    std::atomic_ref<uint32_t> Link(sidecarLink(Slot));
+    uint32_t Expected = 0;
+    if (!Link.compare_exchange_strong(Expected, SidecarTail,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_relaxed))
+      continue;
+    if (First == 0)
+      Last = Slot;
+    else
+      Link.store(First, std::memory_order_relaxed);
+    First = Slot + 1;
+    ++Pushed;
   }
-  auto Slot = static_cast<uint32_t>(Offset / ObjectSize);
-
-  // Claim the slot's link word. Failure means the slot is already pending:
-  // a second free of the same object raced in before the owner drained the
-  // first — a double free, detected at push time. (The claim is also what
-  // makes concurrent double frees unable to corrupt the chain.)
-  std::atomic_ref<uint32_t> Link(sidecarLink(Slot));
-  uint32_t Expected = 0;
-  if (!Link.compare_exchange_strong(Expected, SidecarTail,
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-    RemoteRejects.fetch_add(1, std::memory_order_relaxed);
+  if (Pushed != Count)
+    RemoteRejects.fetch_add(Count - Pushed, std::memory_order_relaxed);
+  if (Pushed == 0)
     return;
-  }
 
-  // Treiber push: point the claimed link at the current chain and swing
-  // the head. The release CAS publishes the link word (and the pusher's
-  // prior writes) to the draining owner's acquire exchange.
+  // Treiber splice: point the chain's oldest link at the current stack and
+  // swing the head to its newest entry. The release CAS publishes every
+  // link word of the chain (and the pusher's prior writes) to the draining
+  // owner's acquire exchange.
+  std::atomic_ref<uint32_t> LastLink(sidecarLink(Last));
   uint32_t Head = SidecarHead.load(std::memory_order_relaxed);
   do {
-    Link.store(Head == 0 ? SidecarTail : Head, std::memory_order_relaxed);
-  } while (!SidecarHead.compare_exchange_weak(Head, Slot + 1,
+    LastLink.store(Head == 0 ? SidecarTail : Head, std::memory_order_relaxed);
+  } while (!SidecarHead.compare_exchange_weak(Head, First,
                                               std::memory_order_release,
                                               std::memory_order_relaxed));
-  RemotePushes.fetch_add(1, std::memory_order_relaxed);
+  RemotePushes.fetch_add(Pushed, std::memory_order_relaxed);
 }
 
 size_t RandomizedPartition::drainRemoteFrees() {
   if (SidecarHead.load(std::memory_order_relaxed) == 0)
     return 0; // Cheap empty check: one relaxed load on the common path.
   uint32_t Head = SidecarHead.exchange(0, std::memory_order_acquire);
-  size_t N = 0;
+  size_t N = 0, Freed = 0;
   while (Head != 0) {
     uint32_t Slot = Head - 1;
     std::atomic_ref<uint32_t> Link(sidecarLink(Slot));
     uint32_t Next = Link.load(std::memory_order_relaxed);
     // Validity checks 2 and 3 (live slot, not already freed) run exactly
     // as for a locked free — detection deferred to drain time, not lost.
-    deallocate(Base + static_cast<size_t>(Slot) * ObjectSize);
+    Freed += releaseSlot(Base + static_cast<size_t>(Slot) * ObjectSize);
     // Reopen the link only AFTER the free materializes: a double free
     // racing this drain then fails its claim and is rejected at push
     // time, instead of entering the sidecar as a pending entry for a
@@ -306,6 +351,7 @@ size_t RandomizedPartition::drainRemoteFrees() {
     ++N;
     Head = Next == SidecarTail ? 0 : Next;
   }
+  countFrees(N, Freed);
   RemoteDrained.fetch_add(N, std::memory_order_relaxed);
   ++Stats.SidecarDrains;
   return N;
@@ -416,31 +462,6 @@ RandomizedPartition::MaintainOutcome RandomizedPartition::maintain() {
     }
   }
   return Out;
-}
-
-bool RandomizedPartition::deallocate(void *Ptr) {
-  assert(contains(Ptr) && "caller routes only pointers in this partition");
-  size_t Offset = static_cast<size_t>(static_cast<char *>(Ptr) - Base);
-  // Validity check 1: the offset must be an exact multiple of the object
-  // size. Validity check 2: the slot must currently be allocated. Anything
-  // else is an invalid or double free and is ignored.
-  if (Offset % ObjectSize != 0) {
-    ++Stats.IgnoredFrees;
-    return false;
-  }
-  size_t Index = Offset / ObjectSize;
-  if (!IsAllocated.tryClear(Index)) {
-    ++Stats.IgnoredFrees;
-    return false;
-  }
-  assert(InUse.load(std::memory_order_relaxed) > 0 &&
-         "bitmap and counter out of sync");
-  InUse.fetch_sub(1, std::memory_order_relaxed);
-  ++Stats.Frees;
-  LiveBytes.fetch_sub(ObjectSize, std::memory_order_relaxed);
-  if (FillOnFree)
-    randomFill(Ptr, ObjectSize);
-  return true;
 }
 
 size_t RandomizedPartition::objectSize(const void *Ptr) const {

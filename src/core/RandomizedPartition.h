@@ -35,20 +35,22 @@
 /// count is the paper's fixed heap.
 ///
 /// Thread safety: none by itself, by design — the sharded layer wraps each
-/// partition in its own cache-line-padded lock. The live()/liveBytes()
-/// gauges are relaxed atomics so overflow routing and stats reporting may
-/// *read* them without taking the partition's lock.
+/// partition in its own cache-line-padded lock. The live count is a
+/// RelaxedCounter: written only under that lock (a plain load and store,
+/// no locked read-modify-write), so overflow routing and stats reporting
+/// may *read* it without taking the partition's lock.
 ///
 /// The one concurrent structure a partition does own is the remote-free
 /// sidecar: a lock-free MPSC intrusive stack of slot indices (Treiber push
 /// from any thread, owner-side drain under the partition lock) that lets a
 /// cross-thread free hand a slot back without ever touching the owner's
-/// lock. Pushed slots stay bit-set and counted in the live gauge until the
-/// owner drains them, so the 1/M fill invariant holds with frees in flight,
-/// and the drain runs the ordinary validated deallocate() per slot, so
-/// double-/invalid-free detection is preserved — it just happens at drain
-/// time (or at push time, when the same slot is pushed twice before a
-/// drain).
+/// lock. A batch of frees is chained locally and spliced onto the stack
+/// with one compare-and-swap. Pushed slots stay bit-set and counted in the
+/// live gauge until the owner drains them, so the 1/M fill invariant holds
+/// with frees in flight, and the drain runs the ordinary free validation
+/// per slot, so double-/invalid-free detection is preserved — it just
+/// happens at drain time (or at push time, when the same slot is pushed
+/// twice before a drain).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -191,26 +193,33 @@ public:
   /// ignored. \returns true if an object was actually freed.
   bool deallocate(void *Ptr);
 
-  /// Validated batch free under one lock acquisition: deallocate() for each
-  /// of the \p Count pointers (all of which must lie in this partition's
-  /// region). \returns the number of objects actually freed.
+  /// Validated batch free of \p Count pointers (all of which must lie in
+  /// this partition's region), in one pass: each pointer gets deallocate()'s
+  /// checks and free-fill in order, and the Frees/IgnoredFrees counters and
+  /// the live gauge are updated once for the whole batch. deallocate() is
+  /// the one-element call. \returns the number of objects actually freed.
   size_t deallocateBatch(void *const *Ptrs, size_t Count);
 
-  /// Lock-free cross-thread free: pushes \p Ptr's slot onto the partition's
-  /// MPSC remote-free sidecar without taking any lock. The slot stays
-  /// bit-set and counted live until the owner drains it, so the 1/M bound
-  /// is unaffected by frees in flight. Misaligned pointers and slots
-  /// already pending in the sidecar (a double free racing a drain) are
-  /// rejected and counted immediately; everything else is validated by the
-  /// ordinary deallocate() when the owner drains. Callable from any thread,
-  /// with or without the partition lock. \p Ptr must lie inside this
-  /// partition's region.
-  void remoteFree(void *Ptr);
+  /// Lock-free cross-thread free of \p Count pointers (all inside this
+  /// partition's region): claims each slot's sidecar link, chains the
+  /// claimed slots locally, and splices the chain onto the partition's MPSC
+  /// remote-free sidecar with one release CAS, without taking any lock.
+  /// The slots stay bit-set and counted live until the owner drains them,
+  /// so the 1/M bound is unaffected by frees in flight. Misaligned pointers
+  /// and slots already pending in the sidecar (a double free racing a
+  /// drain, or a duplicate inside the batch) are rejected and counted once
+  /// each; everything else is validated like deallocate() when the owner
+  /// drains. Callable from any thread, with or without the partition lock.
+  void remoteFreeBatch(void *const *Ptrs, size_t Count);
+
+  /// remoteFreeBatch() of the single pointer \p Ptr.
+  void remoteFree(void *Ptr) { remoteFreeBatch(&Ptr, 1); }
 
   /// Owner-side drain of the remote-free sidecar: detaches the pushed chain
-  /// in one atomic exchange and runs the validated deallocate() for every
-  /// entry. Callers hold the partition lock in concurrent configurations
-  /// (any lock holder may drain — "owner" means the lock, not a thread).
+  /// in one atomic exchange and runs deallocate()'s validation for every
+  /// entry, updating the counters once for the whole chain. Callers hold
+  /// the partition lock in concurrent configurations (any lock holder may
+  /// drain — "owner" means the lock, not a thread).
   /// \returns the number of entries processed (freed or rejected as
   /// double/invalid frees).
   size_t drainRemoteFrees();
@@ -322,12 +331,10 @@ public:
 
   /// Number of live objects. Relaxed-atomic gauge: safe to read without the
   /// partition lock (overflow routing ranks sibling partitions with it).
-  size_t live() const { return InUse.load(std::memory_order_relaxed); }
+  size_t live() const { return InUse; }
 
   /// Bytes live in this partition (rounded sizes). Lock-free gauge.
-  size_t liveBytes() const {
-    return LiveBytes.load(std::memory_order_relaxed);
-  }
+  size_t liveBytes() const { return live() * ObjectSize; }
 
   /// Fill level relative to the final 1/M threshold (slots/M, not the
   /// active prefix's share), in [0, 1]. 1.0 means the partition refuses
@@ -372,6 +379,15 @@ private:
   /// Fills \p Bytes bytes at \p Ptr from this partition's RNG stream, in
   /// 32-bit units as in Figure 2 (object sizes are multiples of 8).
   void randomFill(void *Ptr, size_t Bytes);
+
+  /// deallocate()'s per-pointer work without the counters: the offset
+  /// check, the bitmap clear, and the free-fill. \returns true if an
+  /// object was freed.
+  bool releaseSlot(void *Ptr);
+
+  /// Books \p Freed frees out of \p Attempted validated ones: Frees,
+  /// IgnoredFrees and the live gauge, once per batch.
+  void countFrees(size_t Attempted, size_t Freed);
 
   /// Doubles the active prefix (capped at Slots) until \p Live live
   /// objects fit under its 1/M share. Requires the partition lock.
@@ -438,8 +454,9 @@ private:
   bool FillOnFree = false;
   Rng Rand;
   Bitmap IsAllocated;
-  std::atomic<size_t> InUse{0};
-  std::atomic<size_t> LiveBytes{0};
+  /// Live objects (bit-set slots). Written only under the partition lock;
+  /// live bytes are always InUse * ObjectSize.
+  RelaxedCounter InUse;
   PartitionStats Stats;
 
   // --- Partial page return ------------------------------------------------

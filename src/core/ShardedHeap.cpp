@@ -334,35 +334,54 @@ void ShardedHeap::flushDeferred(ThreadCache &TC) {
   size_t N = TC.drainDeferred(Buf);
   if (N == 0)
     return;
-  // Return the frees grouped by owning partition. Home-shard groups go
-  // back as one locked batch — those locks are the cheap, rarely-contended
-  // ones, and holding them drains the sidecar for free. Groups owned by
-  // OTHER shards never touch the remote mutex: each pointer is pushed onto
-  // the owning partition's lock-free sidecar, to be materialized by
-  // whoever holds that lock next. Cross-shard flushing thus contends with
-  // nobody.
-  void *Group[ThreadCache::MaxDeferred];
-  size_t Remaining = N;
-  while (Remaining != 0) {
-    uint32_t Owner = Buf[0].Owner;
-    int32_t Class = Buf[0].Class;
-    size_t GroupSize = 0, Kept = 0;
-    for (size_t I = 0; I < Remaining; ++I) {
-      if (Buf[I].Owner == Owner && Buf[I].Class == Class)
-        Group[GroupSize++] = Buf[I].Ptr;
-      else
-        Buf[Kept++] = Buf[I];
-    }
+  // Group the frees by owning partition with one stable counting sort on
+  // the key Owner * NumPartitions + Class (fewer than MaxShards *
+  // NumPartitions keys), so each group keeps buffer order and the owning
+  // partition sees its frees — and draws its free-fill words — in the
+  // order they were made.
+  constexpr size_t MaxKeys = MaxShards * DieHardHeap::NumPartitions;
+  const size_t Keys = Shards.size() * DieHardHeap::NumPartitions;
+  uint16_t Ends[MaxKeys + 1];
+  uint16_t Key[ThreadCache::MaxDeferred];
+  std::fill_n(Ends, Keys + 1, 0);
+  for (size_t I = 0; I < N; ++I) {
+    Key[I] = static_cast<uint16_t>(Buf[I].Owner * DieHardHeap::NumPartitions +
+                                   static_cast<uint32_t>(Buf[I].Class));
+    ++Ends[Key[I] + 1];
+  }
+  for (size_t K = 1; K <= Keys; ++K)
+    Ends[K] += Ends[K - 1];
+  void *Sorted[ThreadCache::MaxDeferred];
+  uint16_t SortedKey[ThreadCache::MaxDeferred];
+  for (size_t I = 0; I < N; ++I) {
+    uint16_t At = Ends[Key[I]]++;
+    Sorted[At] = Buf[I].Ptr;
+    SortedKey[At] = Key[I];
+  }
+
+  // Home-shard groups go back as one locked batch each — those locks are
+  // the cheap, rarely-contended ones, and holding them drains the sidecar
+  // for free. Groups owned by OTHER shards never touch the remote mutex:
+  // each is chained and spliced onto the owning partition's lock-free
+  // sidecar in one CAS, to be materialized by whoever holds that lock
+  // next. Cross-shard flushing thus contends with nobody.
+  size_t Begin = 0;
+  while (Begin < N) {
+    const uint16_t K = SortedKey[Begin];
+    size_t End = Begin + 1;
+    while (End < N && SortedKey[End] == K)
+      ++End;
+    const uint32_t Owner = K / DieHardHeap::NumPartitions;
+    const int Class = K % DieHardHeap::NumPartitions;
     Shard &S = *Shards[Owner];
     if (Owner == TC.homeShard()) {
       std::lock_guard<std::mutex> Guard(partitionLock(S, Class));
       S.Heap.drainRemoteFrees(Class);
-      S.Heap.deallocateBatch(Class, Group, GroupSize);
+      S.Heap.deallocateBatch(Class, Sorted + Begin, End - Begin);
     } else {
-      for (size_t I = 0; I < GroupSize; ++I)
-        S.Heap.remoteFree(Class, Group[I]);
+      S.Heap.remoteFreeBatch(Class, Sorted + Begin, End - Begin);
     }
-    Remaining = Kept;
+    Begin = End;
   }
   CacheFlushCount.fetch_add(1, std::memory_order_relaxed);
 }

@@ -55,8 +55,9 @@
 /// Thread-cache tier (ThreadCacheSlots > 0 / DIEHARD_TCACHE): each thread
 /// fronts its home shard with a per-size-class buffer of K pre-claimed,
 /// uniformly chosen slots (one locked batch claim per refill) and a bounded
-/// deferred-free buffer flushed back in owner-grouped batches, so the
-/// steady-state malloc/free takes no lock at all. Cached slots stay
+/// deferred-free buffer flushed back in owner-grouped batches (one stable
+/// counting sort per flush; see flushDeferred()), so the steady-state
+/// malloc/free takes no lock at all. Cached slots stay
 /// counted against the owning partition's 1/M bound; refills draw from
 /// exactly allocate()'s distribution, so the paper's invariants survive
 /// unchanged (see ThreadCache.h). ShardedHeap owns cache registration,
@@ -65,13 +66,14 @@
 /// Remote-free sidecars: every small-object free owned by a shard other
 /// than the freeing thread's home — a deferred-flush group with the cache
 /// tier on, or an individual uncached free with it off — is NOT returned
-/// under the remote partition's lock. Each pointer is pushed onto the
-/// owning partition's lock-free MPSC sidecar instead
-/// (RandomizedPartition::remoteFree), so a cross-shard free performs zero
-/// acquisitions of any remote mutex. Whoever next takes that partition's
-/// lock for its own reasons — a refill, a locked allocation, a same-shard
-/// flush batch, a sweeper pass, an explicit drainRemoteFrees() — drains
-/// the sidecar through the ordinary validated free path. Same-shard frees
+/// under the remote partition's lock. It is pushed onto the owning
+/// partition's lock-free MPSC sidecar instead — a flush group as one chain
+/// spliced in with a single CAS (RandomizedPartition::remoteFreeBatch) —
+/// so a cross-shard free performs zero acquisitions of any remote mutex.
+/// Whoever next takes that partition's lock for its own reasons — a
+/// refill, a locked allocation, a same-shard flush batch, a sweeper pass,
+/// an explicit drainRemoteFrees() — drains the sidecar through the
+/// ordinary validated free path. Same-shard frees
 /// keep the locked path (the home locks are the cheap, mostly-uncontended
 /// ones).
 ///
@@ -456,9 +458,10 @@ private:
   /// sibling).
   void *refillAndPop(ThreadCache &TC, int Class);
 
-  /// Returns every deferred free to its owning partition: one locked batch
-  /// per home-shard (owner, class) group, lock-free sidecar pushes for
-  /// groups owned by other shards.
+  /// Returns every deferred free to its owning partition. One stable
+  /// counting sort on owner * NumPartitions + class groups the buffer;
+  /// each home-shard group is one locked batch free, each group owned by
+  /// another shard one lock-free sidecar splice.
   void flushDeferred(ThreadCache &TC);
 
   /// flushDeferred plus reclamation of all unused cached slots and a fold

@@ -24,8 +24,10 @@
 /// Frees — including cross-thread frees of objects owned by any shard —
 /// are pushed into the freeing thread's deferred buffer together with their
 /// pre-resolved (owner shard, size class); a full buffer flushes back in
-/// owner-grouped locked batches. Free validation (double/invalid frees)
-/// still happens, at flush time, by the owning partition.
+/// owner-grouped batches: a locked batch free per home-shard class, and a
+/// lock-free sidecar splice per class owned by another shard. Free
+/// validation (double/invalid frees) still happens, by the owning
+/// partition, at flush or drain time.
 ///
 /// Lifetime: caches are created lazily on a thread's first malloc/free
 /// against a caching heap, registered with the owning ShardedHeap, and

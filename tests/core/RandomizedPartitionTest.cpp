@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -40,6 +41,14 @@ struct PartitionFixture {
                                FillOnAllocate, FillOnFree, InitialActive));
   }
 };
+
+/// Slot index of \p P inside \p F (the inverse of the placement map —
+/// exact, since geometry is immutable).
+size_t slotOf(const PartitionFixture &F, const void *P) {
+  return static_cast<size_t>(static_cast<const char *>(P) -
+                             static_cast<const char *>(F.Region.base())) /
+         F.Partition.objectBytes();
+}
 
 TEST(RandomizedPartitionTest, InstallsGeometryAndThreshold) {
   PartitionFixture F(64, 1024, 2.0, 7);
@@ -287,6 +296,111 @@ TEST(RandomizedPartitionTest, BatchDeallocateValidatesEachPointer) {
   EXPECT_EQ(F.Partition.live(), 0u);
 }
 
+/// Slot indices of \p P's live objects, ascending.
+std::vector<size_t> liveSlots(const RandomizedPartition &P) {
+  std::vector<size_t> Slots;
+  P.forEachLive([&](size_t Slot, const void *) { Slots.push_back(Slot); });
+  return Slots;
+}
+
+TEST(RandomizedPartitionTest, BatchDeallocateMatchesLoopedDeallocate) {
+  // The one-pass batch free must be observably the same as freeing its
+  // pointers one by one: same checks in the same order, same counters,
+  // same live set, and the same free-fill words drawn from the stream.
+  constexpr size_t Object = 64, Slots = 256;
+  PartitionFixture Batched(Object, Slots, 2.0, 5, false, true);
+  PartitionFixture Looped(Object, Slots, 2.0, 5, false, true);
+  std::vector<size_t> Made;
+  for (int I = 0; I < 20; ++I) {
+    void *A = Batched.Partition.allocate();
+    void *B = Looped.Partition.allocate();
+    ASSERT_NE(A, nullptr);
+    ASSERT_EQ(slotOf(Batched, A), slotOf(Looped, B)) << "same seed";
+    Made.push_back(slotOf(Batched, A));
+  }
+  // Slot Made[3] is already free when the batch arrives.
+  for (PartitionFixture *F : {&Batched, &Looped})
+    ASSERT_TRUE(F->Partition.deallocate(
+        static_cast<char *>(F->Region.base()) + Made[3] * Object));
+
+  // Byte offsets into the region: the first 16 objects (one of them
+  // already free), an in-batch duplicate, and a misaligned pointer.
+  std::vector<size_t> Offsets;
+  for (size_t I = 0; I < 16; ++I)
+    Offsets.push_back(Made[I] * Object);
+  Offsets.push_back(Made[5] * Object);
+  Offsets.push_back(Made[7] * Object + 8);
+  auto pointersInto = [&](PartitionFixture &F) {
+    std::vector<void *> Ptrs;
+    for (size_t Offset : Offsets)
+      Ptrs.push_back(static_cast<char *>(F.Region.base()) + Offset);
+    return Ptrs;
+  };
+  std::vector<void *> BatchPtrs = pointersInto(Batched);
+  std::vector<void *> LoopPtrs = pointersInto(Looped);
+
+  size_t BatchFreed =
+      Batched.Partition.deallocateBatch(BatchPtrs.data(), BatchPtrs.size());
+  size_t LoopFreed = 0;
+  for (void *P : LoopPtrs)
+    LoopFreed += Looped.Partition.deallocate(P);
+
+  EXPECT_EQ(BatchFreed, 15u);
+  EXPECT_EQ(BatchFreed, LoopFreed);
+  const PartitionStats &SB = Batched.Partition.stats();
+  const PartitionStats &SL = Looped.Partition.stats();
+  EXPECT_EQ(SB.Frees, SL.Frees);
+  EXPECT_EQ(SB.IgnoredFrees, SL.IgnoredFrees);
+  EXPECT_EQ(SB.IgnoredFrees, 3u);
+  EXPECT_EQ(Batched.Partition.live(), Looped.Partition.live());
+  EXPECT_EQ(Batched.Partition.live(), 4u);
+  EXPECT_EQ(Batched.Partition.liveBytes(), Looped.Partition.liveBytes());
+  EXPECT_EQ(liveSlots(Batched.Partition), liveSlots(Looped.Partition));
+  // Freed objects hold the same fill words; live ones are untouched.
+  const auto *Filled = static_cast<const unsigned char *>(
+      Batched.Region.base()) + Made[0] * Object;
+  EXPECT_TRUE(std::any_of(Filled, Filled + Object,
+                          [](unsigned char B) { return B != 0; }))
+      << "FillOnFree must have filled the freed object";
+  EXPECT_EQ(std::memcmp(Batched.Region.base(), Looped.Region.base(),
+                        Object * Slots),
+            0);
+}
+
+TEST(RandomizedPartitionTest, AllocateRecountsLiveAfterAProbeDrains) {
+  // allocate() reads the live count before probing, and a probe that lands
+  // on a slot with a stale sidecar entry drains the sidecar, which may
+  // free other slots. The count stored afterwards must include that drain.
+  PartitionFixture F(64, 8, 2.0, 11);
+  auto *A = static_cast<char *>(F.Partition.allocate());
+  auto *B = static_cast<char *>(F.Partition.allocate());
+  ASSERT_NE(A, nullptr);
+  ASSERT_NE(B, nullptr);
+  ASSERT_TRUE(F.Partition.deallocate(A));
+  F.Partition.remoteFree(A); // Stale: A is already free.
+  F.Partition.remoteFree(B); // Valid: B is live.
+  ASSERT_EQ(F.Partition.pendingRemoteFrees(), 2u);
+
+  // Allocate until a probe lands on A: its drain ignores A's stale entry
+  // (IgnoredFrees rises by one) and frees B.
+  const uint64_t Ignored = F.Partition.stats().IgnoredFrees;
+  void *P = nullptr;
+  for (int Attempt = 0; Attempt < 1000; ++Attempt) {
+    P = F.Partition.allocate();
+    ASSERT_NE(P, nullptr);
+    if (F.Partition.stats().IgnoredFrees != Ignored)
+      break;
+    ASSERT_TRUE(F.Partition.deallocate(P));
+  }
+  const PartitionStats &S = F.Partition.stats();
+  ASSERT_EQ(S.IgnoredFrees, Ignored + 1) << "no probe ever landed on A";
+  EXPECT_EQ(F.Partition.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(F.Partition.live(),
+            S.Allocations + S.ClaimedSlots - S.Frees - S.ReturnedSlots);
+  EXPECT_EQ(F.Partition.live(), 1u) << "only the last allocation is live";
+  EXPECT_EQ(liveSlots(F.Partition), std::vector<size_t>{slotOf(F, P)});
+}
+
 TEST(RandomizedPartitionTest, BatchClaimDrawsFromTheUniformDiscipline) {
   // Claiming K slots must hit every slot with the same long-run frequency
   // as repeated single allocations: claim/reclaim batches over many rounds
@@ -404,14 +518,6 @@ TEST(RandomizedPartitionTest, RemoteFreeLifoChainOrder) {
 //===----------------------------------------------------------------------===//
 // Partial page return (the free-span scanner behind maintain())
 //===----------------------------------------------------------------------===//
-
-/// Slot index of \p P inside \p F (the inverse of the placement map —
-/// exact, since geometry is immutable).
-size_t slotOf(const PartitionFixture &F, const void *P) {
-  return static_cast<size_t>(static_cast<const char *>(P) -
-                             static_cast<const char *>(F.Region.base())) /
-         F.Partition.objectBytes();
-}
 
 /// Pins the page-return policy for a test and restores the default (and
 /// the DIEHARD_PAGE_RETURN resolution) afterwards — the policy is process

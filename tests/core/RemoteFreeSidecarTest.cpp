@@ -10,7 +10,9 @@
 /// RemoteFrees/SidecarDrains counters), opportunistic owner-side drains at
 /// the refill boundary, double-free detection at push and at drain time,
 /// stats reconciliation (Allocations == Frees with frees still in flight),
-/// and a TSan-covered cross-shard free storm through full sidecars.
+/// the batch push a flush uses (one splice per group, each bad entry
+/// rejected once), and TSan-covered storms: cross-shard frees through full
+/// sidecars, and batch pushes racing an owner that allocates and drains.
 ///
 /// The storm test scales with DIEHARD_STRESS_ITERS (a multiplier, default
 /// 1) so the nightly CI lane can run it at elevated counts.
@@ -19,13 +21,16 @@
 
 #include "core/ShardedHeap.h"
 
+#include "core/RandomizedPartition.h"
 #include "core/SizeClass.h"
+#include "support/MmapRegion.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -333,6 +338,138 @@ TEST(RemoteFreeSidecarTest, CrossShardFreeStormStaysConsistent) {
   EXPECT_EQ(S.IgnoredFrees, 0u);
   EXPECT_GT(S.RemoteFrees, 0u) << "the storm must exercise the sidecars";
   EXPECT_GE(S.SidecarDrains, 1u);
+}
+
+/// A lone partition over its own mapping, for driving the sidecar without
+/// a surrounding heap.
+struct SidecarPartition {
+  MmapRegion Region;
+  RandomizedPartition Partition;
+
+  SidecarPartition(size_t ObjectSize, size_t Slots, uint64_t Seed) {
+    EXPECT_TRUE(Region.map(ObjectSize * Slots));
+    EXPECT_TRUE(Partition.init(Region.base(), ObjectSize, Slots, 2.0, Seed,
+                               false, false));
+  }
+};
+
+TEST(RemoteFreeSidecarTest, BatchPushRejectsEachBadEntryOnce) {
+  // One batch carries an in-batch duplicate, a slot already pending from a
+  // single push, and a misaligned pointer. Each is rejected and counted
+  // exactly once; the rest are spliced in, and the drain frees each valid
+  // slot once.
+  SidecarPartition F(64, 256, 3);
+  RandomizedPartition &P = F.Partition;
+  void *Made[8];
+  for (void *&Ptr : Made) {
+    Ptr = P.allocate();
+    ASSERT_NE(Ptr, nullptr);
+  }
+  P.remoteFree(Made[0]);
+  ASSERT_EQ(P.remoteFrees(), 1u);
+
+  void *Batch[] = {Made[1], Made[2], Made[3], Made[3], Made[4],
+                   Made[0], Made[5], static_cast<char *>(Made[6]) + 8,
+                   Made[6], Made[7]};
+  P.remoteFreeBatch(Batch, sizeof(Batch) / sizeof(Batch[0]));
+  EXPECT_EQ(P.remoteFrees(), 8u) << "one single push plus 7 batched";
+  EXPECT_EQ(P.remoteFreeRejects(), 3u);
+  EXPECT_EQ(P.pendingRemoteFrees(), 8u);
+  EXPECT_EQ(P.live(), 8u) << "pushed slots stay live until drained";
+  EXPECT_EQ(P.stats().Frees, 0u);
+
+  EXPECT_EQ(P.drainRemoteFrees(), 8u);
+  EXPECT_EQ(P.stats().Frees, 8u);
+  EXPECT_EQ(P.stats().IgnoredFrees, 0u);
+  EXPECT_EQ(P.live(), 0u);
+  EXPECT_EQ(P.pendingRemoteFrees(), 0u);
+  EXPECT_FALSE(P.hasPendingRemoteFrees());
+
+  // Every link reopened: the same slots can be pushed again in a batch.
+  for (void *&Ptr : Made)
+    Ptr = P.allocate();
+  P.remoteFreeBatch(Made, 8);
+  EXPECT_EQ(P.remoteFreeRejects(), 3u);
+  EXPECT_EQ(P.drainRemoteFrees(), 8u);
+  EXPECT_EQ(P.live(), 0u);
+}
+
+TEST(RemoteFreeSidecarTest, BatchPushesRaceAnOwnerThatAllocatesAndDrains) {
+  // The TSan workload for the batch splice: four threads push batches of
+  // cross-thread frees onto one partition's sidecar while its owner keeps
+  // allocating and draining under the partition lock.
+  constexpr int Pushers = 4;
+  const int PerPusher = 2000 * stressMultiplier();
+  SidecarPartition F(64, 4096, 9);
+  RandomizedPartition &P = F.Partition;
+  std::mutex PartitionLock;
+
+  std::mutex QueueLock;
+  std::deque<void *> Queues[Pushers];
+  std::atomic<bool> OwnerDone{false};
+  std::atomic<int> Failures{0};
+
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < Pushers; ++T)
+    Threads.emplace_back([&, T] {
+      void *Batch[16];
+      for (;;) {
+        size_t N = 0;
+        bool Done = OwnerDone.load(std::memory_order_acquire);
+        {
+          std::lock_guard<std::mutex> G(QueueLock);
+          while (N < 16 && !Queues[T].empty()) {
+            Batch[N++] = Queues[T].front();
+            Queues[T].pop_front();
+          }
+        }
+        if (N != 0)
+          P.remoteFreeBatch(Batch, N); // No lock: the cross-shard path.
+        else if (Done)
+          return;
+        else
+          std::this_thread::yield();
+      }
+    });
+
+  const size_t Total = static_cast<size_t>(Pushers) * PerPusher;
+  for (size_t Made = 0; Made < Total;) {
+    void *Fresh[32];
+    size_t N = 0;
+    {
+      std::lock_guard<std::mutex> G(PartitionLock);
+      P.drainRemoteFrees();
+      while (N < 32 && Made + N < Total && P.live() < 1024) {
+        Fresh[N] = P.allocate();
+        if (Fresh[N] == nullptr) {
+          ++Failures;
+          break;
+        }
+        std::memset(Fresh[N], 0x5A, 64);
+        ++N;
+      }
+    }
+    if (Failures.load() != 0)
+      break;
+    std::lock_guard<std::mutex> G(QueueLock);
+    for (size_t I = 0; I < N; ++I, ++Made)
+      Queues[Made % Pushers].push_back(Fresh[I]);
+  }
+  OwnerDone.store(true, std::memory_order_release);
+  for (std::thread &T : Threads)
+    T.join();
+  {
+    std::lock_guard<std::mutex> G(PartitionLock);
+    P.drainRemoteFrees();
+  }
+
+  EXPECT_EQ(Failures.load(), 0);
+  EXPECT_EQ(P.live(), 0u);
+  EXPECT_EQ(P.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(P.remoteFreeRejects(), 0u);
+  EXPECT_EQ(P.stats().Frees, P.stats().Allocations);
+  EXPECT_EQ(P.stats().IgnoredFrees, 0u);
+  EXPECT_EQ(P.remoteFrees(), Total);
 }
 
 } // namespace
