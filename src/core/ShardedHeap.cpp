@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -330,60 +331,65 @@ void *ShardedHeap::refillAndPop(ThreadCache &TC, int Class) {
 }
 
 void ShardedHeap::flushDeferred(ThreadCache &TC) {
-  DeferredFree Buf[ThreadCache::MaxDeferred];
-  size_t N = TC.drainDeferred(Buf);
-  if (N == 0)
+  if (TC.deferredUsed() == 0)
     return;
-  // Group the frees by owning partition with one stable counting sort on
-  // the key Owner * NumPartitions + Class (fewer than MaxShards *
-  // NumPartitions keys), so each group keeps buffer order and the owning
-  // partition sees its frees — and draws its free-fill words — in the
-  // order they were made.
-  constexpr size_t MaxKeys = MaxShards * DieHardHeap::NumPartitions;
-  const size_t Keys = Shards.size() * DieHardHeap::NumPartitions;
-  uint16_t Ends[MaxKeys + 1];
-  uint16_t Key[ThreadCache::MaxDeferred];
-  std::fill_n(Ends, Keys + 1, 0);
-  for (size_t I = 0; I < N; ++I) {
-    Key[I] = static_cast<uint16_t>(Buf[I].Owner * DieHardHeap::NumPartitions +
-                                   static_cast<uint32_t>(Buf[I].Class));
-    ++Ends[Key[I] + 1];
+  // The cache parked each free in its class's segment, so the groups are
+  // already formed: a segment whose frees share one owner goes back as it
+  // stands, with no copy. Each (owner, class) group keeps buffer order, so
+  // the owning partition sees its frees — and draws its free-fill words —
+  // in the order they were made; only the order across partitions differs
+  // from the buffer's, and no partition's state depends on that.
+  const uint32_t Home = TC.homeShard();
+  for (uint32_t Mask = TC.deferredClasses(); Mask != 0; Mask &= Mask - 1) {
+    const int Class = std::countr_zero(Mask);
+    void **Seg = TC.deferredSegment(Class);
+    size_t N = TC.deferredCount(Class);
+    const uint32_t Owner = TC.deferredOwner(Class);
+    if (Owner != ThreadCache::MixedOwners)
+      returnDeferred(Home, Owner, Class, Seg, N);
+    else
+      returnMixedDeferred(Home, Class, Seg, N);
   }
-  for (size_t K = 1; K <= Keys; ++K)
-    Ends[K] += Ends[K - 1];
-  void *Sorted[ThreadCache::MaxDeferred];
-  uint16_t SortedKey[ThreadCache::MaxDeferred];
-  for (size_t I = 0; I < N; ++I) {
-    uint16_t At = Ends[Key[I]]++;
-    Sorted[At] = Buf[I].Ptr;
-    SortedKey[At] = Key[I];
-  }
+  TC.clearDeferred();
+  CacheFlushCount.fetch_add(1, std::memory_order_relaxed);
+}
 
-  // Home-shard groups go back as one locked batch each — those locks are
-  // the cheap, rarely-contended ones, and holding them drains the sidecar
-  // for free. Groups owned by OTHER shards never touch the remote mutex:
-  // each is chained and spliced onto the owning partition's lock-free
+void ShardedHeap::returnMixedDeferred(uint32_t Home, int Class, void **Seg,
+                                      size_t N) {
+  // Split stably, one owner per pass in order of first appearance: that
+  // owner's frees move to Group, the rest close up at the front of the
+  // segment for the next pass.
+  void *Group[ThreadCache::MaxDeferred];
+  while (N != 0) {
+    const uint32_t First = ownerOf(Seg[0]);
+    size_t Taken = 0, Kept = 0;
+    for (size_t I = 0; I < N; ++I) {
+      if (ownerOf(Seg[I]) == First)
+        Group[Taken++] = Seg[I];
+      else
+        Seg[Kept++] = Seg[I];
+    }
+    returnDeferred(Home, First, Class, Group, Taken);
+    N = Kept;
+  }
+}
+
+void ShardedHeap::returnDeferred(uint32_t Home, uint32_t Owner, int Class,
+                                 void *const *Ptrs, size_t Count) {
+  // A home-shard group goes back as one locked batch — those locks are the
+  // cheap, rarely-contended ones, and holding one drains the sidecar for
+  // free. A group owned by ANOTHER shard never touches the remote mutex:
+  // it is chained and spliced onto the owning partition's lock-free
   // sidecar in one CAS, to be materialized by whoever holds that lock
   // next. Cross-shard flushing thus contends with nobody.
-  size_t Begin = 0;
-  while (Begin < N) {
-    const uint16_t K = SortedKey[Begin];
-    size_t End = Begin + 1;
-    while (End < N && SortedKey[End] == K)
-      ++End;
-    const uint32_t Owner = K / DieHardHeap::NumPartitions;
-    const int Class = K % DieHardHeap::NumPartitions;
-    Shard &S = *Shards[Owner];
-    if (Owner == TC.homeShard()) {
-      std::lock_guard<std::mutex> Guard(partitionLock(S, Class));
-      S.Heap.drainRemoteFrees(Class);
-      S.Heap.deallocateBatch(Class, Sorted + Begin, End - Begin);
-    } else {
-      S.Heap.remoteFreeBatch(Class, Sorted + Begin, End - Begin);
-    }
-    Begin = End;
+  Shard &S = *Shards[Owner];
+  if (Owner == Home) {
+    std::lock_guard<std::mutex> Guard(partitionLock(S, Class));
+    S.Heap.drainRemoteFrees(Class);
+    S.Heap.deallocateBatch(Class, Ptrs, Count);
+  } else {
+    S.Heap.remoteFreeBatch(Class, Ptrs, Count);
   }
-  CacheFlushCount.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ShardedHeap::flushCacheFully(ThreadCache &TC) {
@@ -471,7 +477,7 @@ void ShardedHeap::deferOrDeallocate(void *Ptr, uint32_t Owner) {
       int Class = Shards[Owner]->Heap.partitionIndexOf(Ptr);
       if (!TC->pushDeferred(Ptr, Owner, Class)) {
         flushDeferred(*TC);
-        TC->pushDeferred(Ptr, Owner, Class); // Cannot fail after a drain.
+        TC->pushDeferred(Ptr, Owner, Class); // Cannot fail after a flush.
       }
       return;
     }

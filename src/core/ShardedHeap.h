@@ -55,9 +55,9 @@
 /// Thread-cache tier (ThreadCacheSlots > 0 / DIEHARD_TCACHE): each thread
 /// fronts its home shard with a per-size-class buffer of K pre-claimed,
 /// uniformly chosen slots (one locked batch claim per refill) and a bounded
-/// deferred-free buffer flushed back in owner-grouped batches (one stable
-/// counting sort per flush; see flushDeferred()), so the steady-state
-/// malloc/free takes no lock at all. Cached slots stay
+/// deferred-free buffer kept grouped by size class and flushed back in
+/// owner-grouped batches straight from the cache (see flushDeferred()),
+/// so the steady-state malloc/free takes no lock at all. Cached slots stay
 /// counted against the owning partition's 1/M bound; refills draw from
 /// exactly allocate()'s distribution, so the paper's invariants survive
 /// unchanged (see ThreadCache.h). ShardedHeap owns cache registration,
@@ -458,11 +458,24 @@ private:
   /// sibling).
   void *refillAndPop(ThreadCache &TC, int Class);
 
-  /// Returns every deferred free to its owning partition. One stable
-  /// counting sort on owner * NumPartitions + class groups the buffer;
-  /// each home-shard group is one locked batch free, each group owned by
-  /// another shard one lock-free sidecar splice.
+  /// Returns every deferred free to its owning partition, walking the
+  /// cache's non-empty class segments. A segment whose frees share one
+  /// owner goes straight from the cache's mapping to returnDeferred(); only
+  /// a mixed-owner segment is split, stably, by owner first.
   void flushDeferred(ThreadCache &TC);
+
+  /// Returns class \p Class's mixed-owner segment (\p N frees at \p Seg),
+  /// split stably by owner, one returnDeferred() per owner. Out of line so
+  /// that its stack buffer deepens the stack only when a segment mixes
+  /// owners, not on every flush.
+  [[gnu::noinline]] void returnMixedDeferred(uint32_t Home, int Class,
+                                             void **Seg, size_t N);
+
+  /// Returns one (owner, class) group of deferred frees: a locked batch
+  /// free when \p Owner is the flushing thread's \p Home shard, one
+  /// lock-free sidecar splice otherwise.
+  void returnDeferred(uint32_t Home, uint32_t Owner, int Class,
+                      void *const *Ptrs, size_t Count);
 
   /// flushDeferred plus reclamation of all unused cached slots and a fold
   /// of the cache's counters into the heap aggregates.

@@ -16,6 +16,7 @@
 
 #include "core/ShardedHeap.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <new>
@@ -103,9 +104,8 @@ ThreadCache *ThreadCache::create(ShardedHeap *Heap,
   assert(SlotsPerClass >= 1 && SlotsPerClass <= MaxSlotsPerClass);
   assert(DeferredCapacity >= 1 && DeferredCapacity <= MaxDeferred);
   size_t Bytes = sizeof(ThreadCache) +
-                 static_cast<size_t>(SizeClass::NumClasses) * SlotsPerClass *
-                     sizeof(void *) +
-                 static_cast<size_t>(DeferredCapacity) * sizeof(DeferredFree);
+                 static_cast<size_t>(SizeClass::NumClasses) *
+                     (SlotsPerClass + DeferredCapacity) * sizeof(void *);
   Bytes = (Bytes + 4095) & ~size_t(4095);
   // A dedicated anonymous mapping: no malloc (shim-safe), demand-zero, and
   // naturally page-aligned for the trailing arrays.
@@ -124,7 +124,11 @@ ThreadCache::ThreadCache(ShardedHeap *OwningHeap,
                          uint32_t DeferredCapacity, size_t MappedBytes)
     : Heap(OwningHeap), Anchor(HeapAnchor), HeapId(OwningHeapId),
       Home(HomeShard), SlotCapacity(SlotsEachClass),
-      DeferredCap(DeferredCapacity), MapBytes(MappedBytes) {}
+      DeferredCap(DeferredCapacity), MapBytes(MappedBytes),
+      DeferredBase(classSlots(SizeClass::NumClasses)) {
+  for (int C = 0; C < SizeClass::NumClasses; ++C)
+    Segments[C] = {deferredSegment(C), NoOwner};
+}
 
 void ThreadCache::destroy() {
   size_t Bytes = MapBytes;
@@ -150,13 +154,13 @@ size_t ThreadCache::take(int Class, void **Out) {
   return N;
 }
 
-size_t ThreadCache::drainDeferred(DeferredFree *Out) {
-  uint32_t N = DeferredUsed.load(std::memory_order_relaxed);
-  if (N != 0) {
-    std::memcpy(Out, deferredArray(), N * sizeof(DeferredFree));
-    DeferredUsed.store(0, std::memory_order_relaxed);
+void ThreadCache::clearDeferred() {
+  for (uint32_t Mask = DeferredClasses; Mask != 0; Mask &= Mask - 1) {
+    int C = std::countr_zero(Mask);
+    Segments[C] = {deferredSegment(C), NoOwner};
   }
-  return N;
+  DeferredClasses = 0;
+  DeferredUsed.store(0, std::memory_order_relaxed);
 }
 
 size_t ThreadCache::cachedTotal() const {

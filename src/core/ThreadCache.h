@@ -22,12 +22,15 @@
 /// snapshots stay race-free at zero practical cost).
 ///
 /// Frees — including cross-thread frees of objects owned by any shard —
-/// are pushed into the freeing thread's deferred buffer together with their
-/// pre-resolved (owner shard, size class); a full buffer flushes back in
-/// owner-grouped batches: a locked batch free per home-shard class, and a
-/// lock-free sidecar splice per class owned by another shard. Free
-/// validation (double/invalid frees) still happens, by the owning
-/// partition, at flush or drain time.
+/// park in the freeing thread's deferred buffer, already grouped: each
+/// size class has its own segment, and the cache remembers which classes
+/// hold frees and, per segment, the one owner shard its frees share (or
+/// that they mix owners). When the buffer's total reaches its capacity it
+/// flushes segment by segment, straight from the cache's mapping: a
+/// locked batch free per home-shard segment, a lock-free sidecar splice
+/// per segment owned by another shard, and a stable split by owner only
+/// for a mixed segment. Free validation (double/invalid frees) still
+/// happens, by the owning partition, at flush or drain time.
 ///
 /// Lifetime: caches are created lazily on a thread's first malloc/free
 /// against a caching heap, registered with the owning ShardedHeap, and
@@ -57,15 +60,6 @@ namespace diehard {
 class ShardedHeap;
 class ThreadCache;
 
-/// One user-freed object parked in a deferred buffer, with its owner shard
-/// and size class pre-resolved (both derive from immutable construction-time
-/// geometry, so resolution is lock-free at push time).
-struct DeferredFree {
-  void *Ptr;
-  uint32_t Owner;
-  int32_t Class;
-};
-
 /// Head of a heap's registry of live caches. Embedded in ShardedHeap;
 /// guarded by the process-global cache registry lock in ThreadCache.cpp.
 struct ThreadCacheAnchor {
@@ -88,9 +82,16 @@ struct ThreadCacheTally {
 /// ShardedHeap, which is the only caller of these methods.
 class ThreadCache {
 public:
-  /// Hard caps keeping refill/flush stack buffers bounded.
+  /// Hard cap on K, bounding the refill and full-flush stack buffers.
   static constexpr uint32_t MaxSlotsPerClass = 256;
+  /// Hard cap on the deferred buffer's total capacity. Every class segment
+  /// is sized to the whole capacity (all parked frees may share one
+  /// class), and a mixed segment's owner split uses one stack buffer of
+  /// this many pointers.
   static constexpr uint32_t MaxDeferred = 256;
+
+  /// deferredOwner() of a segment holding frees of more than one owner.
+  static constexpr uint32_t MixedOwners = UINT32_MAX;
 
   /// Maps and initializes a cache for the calling thread. \p SlotsPerClass
   /// (K) sizes the per-class buffers. \returns nullptr if the mapping
@@ -124,20 +125,40 @@ public:
   /// \returns the number of slots removed.
   size_t take(int Class, void **Out);
 
-  /// Parks a user free. \returns false when the buffer is full (the caller
-  /// flushes and retries; a push after a drain cannot fail).
-  bool pushDeferred(void *Ptr, uint32_t Owner, int32_t Class) {
-    uint32_t N = DeferredUsed.load(std::memory_order_relaxed);
-    if (N >= DeferredCap)
+  /// Parks a user free of \p Ptr, owned by shard \p Owner, in class
+  /// \p Class's segment. \returns false when the buffer's total is at
+  /// capacity (the caller flushes and retries; a push after a flush cannot
+  /// fail).
+  bool pushDeferred(void *Ptr, uint32_t Owner, int Class) {
+    uint32_t Used = DeferredUsed.load(std::memory_order_relaxed);
+    if (Used >= DeferredCap)
       return false;
-    deferredArray()[N] = DeferredFree{Ptr, Owner, Class};
-    DeferredUsed.store(N + 1, std::memory_order_relaxed);
+    Segment &Seg = Segments[Class];
+    *Seg.End++ = Ptr;
+    if (Seg.Owner != Owner)
+      noteOwner(Class, Owner);
+    DeferredUsed.store(Used + 1, std::memory_order_relaxed);
     return true;
   }
 
-  /// Drains the deferred buffer into \p Out (capacity >=
-  /// deferredCapacity()); \returns the number of entries removed.
-  size_t drainDeferred(DeferredFree *Out);
+  /// Bit C set when class C's segment holds parked frees.
+  uint32_t deferredClasses() const { return DeferredClasses; }
+
+  /// Class \p Class's parked frees, in push order; deferredCount(Class)
+  /// entries. The flush may reorder them in place.
+  void **deferredSegment(int Class) {
+    return DeferredBase + static_cast<size_t>(Class) * DeferredCap;
+  }
+  size_t deferredCount(int Class) {
+    return static_cast<size_t>(Segments[Class].End - deferredSegment(Class));
+  }
+
+  /// The owner shard every free in class \p Class's segment shares, or
+  /// MixedOwners. Meaningful only while the segment is non-empty.
+  uint32_t deferredOwner(int Class) const { return Segments[Class].Owner; }
+
+  /// Empties every segment (after the flush has returned their frees).
+  void clearDeferred();
 
   /// Returns and zeroes the unfolded pop count (owner thread only; the
   /// caller folds it into the heap's aggregate).
@@ -212,18 +233,14 @@ private:
                                     uint64_t Epoch);
   friend void threadCacheUnseize(ThreadCache &TC);
 
-  /// The trailing per-class slot arrays and deferred array live directly
-  /// after the object inside its mapping.
+  /// The trailing per-class slot arrays and deferred segments live
+  /// directly after the object inside its mapping.
   void **classSlots(int Class) {
     return reinterpret_cast<void **>(this + 1) +
            static_cast<size_t>(Class) * SlotCapacity;
   }
   const void *const *classSlots(int Class) const {
     return const_cast<ThreadCache *>(this)->classSlots(Class);
-  }
-  DeferredFree *deferredArray() {
-    return reinterpret_cast<DeferredFree *>(
-        classSlots(SizeClass::NumClasses));
   }
 
   ShardedHeap *Heap;          ///< Valid while !HeapDead.
@@ -247,8 +264,38 @@ private:
   /// Per-class cached-slot counts. Owner-written, racy-readable.
   std::atomic<uint32_t> Counts[SizeClass::NumClasses];
 
-  /// Occupancy of the deferred-free buffer. Owner-written, racy-readable.
+  /// Occupancy of the deferred-free buffer, over all segments: the flush
+  /// trigger. Owner-written, racy-readable.
   std::atomic<uint32_t> DeferredUsed{0};
+
+  /// First deferred segment (class 0's), after the slot arrays.
+  void **DeferredBase;
+
+  /// Non-empty segments, one bit per class. Owner-only.
+  uint32_t DeferredClasses = 0;
+
+  /// deferredOwner() of an empty segment.
+  static constexpr uint32_t NoOwner = UINT32_MAX - 1;
+
+  /// Per-class segment fill cursor (one past the last parked free) and
+  /// shared owner. Owner-only.
+  struct Segment {
+    void **End;
+    uint32_t Owner;
+  };
+  Segment Segments[SizeClass::NumClasses];
+
+  /// A push's owner differs from its segment's: the segment was empty (it
+  /// joins DeferredClasses) or now mixes owners.
+  void noteOwner(int Class, uint32_t Owner) {
+    Segment &Seg = Segments[Class];
+    if (Seg.Owner == NoOwner) {
+      Seg.Owner = Owner;
+      DeferredClasses |= 1u << Class;
+    } else {
+      Seg.Owner = MixedOwners;
+    }
+  }
 
   // Sweeper handshake state (quiescent zeroes with the sweeper off).
   /// Last sweep epoch at which the owner made an allocator call.

@@ -87,9 +87,11 @@ public:
 
   /// Returns a uniformly distributed value in [0, \p Bound).
   ///
-  /// Uses Lemire's multiply-shift reduction, which avoids the modulo bias of
-  /// `next() % Bound` for bounds that do not divide 2^32 while staying on the
-  /// allocation fast path (one multiply, no division).
+  /// Uses Lemire's multiply-shift reduction without its rejection step: one
+  /// multiply, no division, so it stays on the allocation fast path. Like
+  /// `next() % Bound`, it is not exactly uniform when \p Bound does not
+  /// divide 2^32: each value's probability is off from 1/Bound by less
+  /// than 1/2^32, a relative bias of at most Bound/2^32.
   uint32_t nextBounded(uint32_t Bound) {
     assert(Bound > 0 && "bound must be positive");
     return static_cast<uint32_t>(

@@ -8,7 +8,8 @@
 /// Tests for the sharded heap layer: single-shard equivalence with a lone
 /// DieHardHeap, cross-thread frees routed to the owning shard, thread churn
 /// beyond the shard count, per-partition lock concurrency, overflow routing
-/// to sibling shards, stats aggregation, and the large-object path through
+/// to sibling shards, stats aggregation, the deferred-free flush against
+/// the same frees applied one by one, and the large-object path through
 /// shard 0. The multithreaded cases double as the TSan/ASan workload for the
 /// sanitizer CI lanes.
 ///
@@ -197,6 +198,130 @@ TEST(ShardedHeapTest, CrossThreadFreeReturnsToOwningShard) {
   EXPECT_EQ(S.Frees, static_cast<uint64_t>(Count));
   EXPECT_EQ(S.IgnoredFrees, 0u);
   EXPECT_EQ(H.bytesLive(), 0u);
+}
+
+std::vector<size_t> liveSlots(const RandomizedPartition &P) {
+  std::vector<size_t> Slots;
+  P.forEachLive([&](size_t Slot, const void *) { Slots.push_back(Slot); });
+  return Slots;
+}
+
+/// Expects every partition of \p A and \p B to be in the same observable
+/// state: free and sidecar counters, live gauge, live set, region bytes.
+void expectSamePartitions(const ShardedHeap &A, const ShardedHeap &B) {
+  for (size_t I = 0; I < A.numShards(); ++I)
+    for (int C = 0; C < SizeClass::NumClasses; ++C) {
+      SCOPED_TRACE(::testing::Message() << "shard " << I << " class " << C);
+      const RandomizedPartition &PA = A.shard(I).partition(C);
+      const RandomizedPartition &PB = B.shard(I).partition(C);
+      EXPECT_EQ(PA.stats().Frees, PB.stats().Frees);
+      EXPECT_EQ(PA.stats().IgnoredFrees, PB.stats().IgnoredFrees);
+      EXPECT_EQ(PA.remoteFrees(), PB.remoteFrees());
+      EXPECT_EQ(PA.remoteFreeRejects(), PB.remoteFreeRejects());
+      EXPECT_EQ(PA.live(), PB.live());
+      EXPECT_EQ(liveSlots(PA), liveSlots(PB));
+      ASSERT_EQ(PA.active(), PB.active());
+      EXPECT_EQ(std::memcmp(PA.base(), PB.base(),
+                            PA.active() * PA.objectBytes()),
+                0);
+    }
+}
+
+TEST(ShardedHeapTest, DeferredFlushMatchesFreesAppliedOneByOne) {
+  // A flush returns each class segment of the deferred buffer as it
+  // stands and splits only a segment that mixes owners. Every partition
+  // must end as if the same frees had been applied one at a time in
+  // buffer order: deallocate() on the home shard, remoteFree() on the
+  // others — same counters, same live set, same free-fill words.
+  ShardedHeapOptions O = smallOptions(3, 7);
+  O.Heap.RandomFillOnFree = true;
+  O.ThreadCacheSlots = 32; // Deferred capacity 64: nothing flushes early.
+  O.OverflowRouting = false;
+  ShardedHeap Flushed(O), Looped(O);
+  ASSERT_TRUE(Flushed.isValid());
+  ASSERT_TRUE(Looped.isValid());
+
+  // The same allocations in both heaps: indices 0-3 owned by shard 1 and
+  // 4-7 by shard 2, 64 bytes each, made on threads pinned to those shards;
+  // then, on this test's thread pinned to shard 0, home objects of 64
+  // (8-11), 16 (12-15), 256 (16-19) and 1024 bytes (20-22).
+  auto allocateAll = [](ShardedHeap &H) {
+    std::vector<void *> Objects;
+    for (uint32_t Owner : {1u, 2u})
+      std::thread([&] {
+        ShardedHeap::pinThreadToken(Owner);
+        for (int I = 0; I < 4; ++I)
+          Objects.push_back(H.allocate(64));
+      }).join();
+    for (size_t Size : {64, 16, 256, 1024})
+      for (int I = 0; I < (Size == 1024 ? 3 : 4); ++I)
+        Objects.push_back(H.allocate(Size));
+    return Objects;
+  };
+  // (object index, byte offset) in buffer order. Class 64 mixes home
+  // frees with frees of both foreign owners and holds a misaligned home
+  // pointer and a foreign duplicate; class 16 holds a home duplicate.
+  const std::pair<size_t, size_t> Frees[] = {
+      {12, 0}, {13, 0}, {8, 0},  {0, 0},  {4, 0},  {9, 0},  {1, 0},
+      {5, 0},  {16, 0}, {17, 0}, {2, 0},  {10, 0}, {6, 0},  {13, 0},
+      {11, 8}, {1, 0},  {20, 0}, {21, 0}, {22, 0}, {18, 0}, {14, 0},
+      {3, 0}};
+
+  std::thread([&] {
+    ShardedHeap::pinThreadToken(0);
+    std::vector<void *> FlushedObjects = allocateAll(Flushed);
+    std::vector<void *> LoopedObjects = allocateAll(Looped);
+    ASSERT_EQ(FlushedObjects.size(), 23u);
+    for (size_t I = 0; I < FlushedObjects.size(); ++I) {
+      ASSERT_NE(FlushedObjects[I], nullptr);
+      size_t Owner = Flushed.shardIndexOf(FlushedObjects[I]);
+      ASSERT_EQ(Owner, I < 4 ? 1u : I < 8 ? 2u : 0u);
+      ASSERT_EQ(offsetFromBase(FlushedObjects[I], Flushed.shard(Owner)),
+                offsetFromBase(LoopedObjects[I], Looped.shard(Owner)))
+          << "same seed, same allocations";
+    }
+
+    for (auto [Index, Offset] : Frees)
+      Flushed.deallocate(static_cast<char *>(FlushedObjects[Index]) + Offset);
+    for (size_t I = 0; I < Flushed.numShards(); ++I)
+      for (int C = 0; C < SizeClass::NumClasses; ++C) {
+        ASSERT_EQ(Flushed.shard(I).partition(C).stats().Frees, 0u)
+            << "every free is still parked";
+        ASSERT_EQ(Flushed.shard(I).partition(C).remoteFrees(), 0u);
+      }
+    Flushed.flushThreadCache();
+
+    // The reference heap is quiescent and used by this thread alone, so
+    // its shards can be driven directly.
+    for (auto [Index, Offset] : Frees) {
+      void *P = static_cast<char *>(LoopedObjects[Index]) + Offset;
+      size_t Owner = Looped.shardIndexOf(P);
+      auto &Shard = const_cast<DieHardHeap &>(Looped.shard(Owner));
+      if (Owner == 0)
+        Shard.deallocate(P);
+      else
+        Shard.remoteFree(Shard.partitionIndexOf(P), P);
+    }
+    Looped.flushThreadCache(); // Reclaims the cached slots, as above.
+  }).join();
+
+  expectSamePartitions(Flushed, Looped);
+  // The case exercises what it means to: home frees and both ignored
+  // frees in shard 0, foreign pushes and one push-time reject.
+  const int Mixed = SizeClass::sizeToClass(64);
+  const int Small = SizeClass::sizeToClass(16);
+  EXPECT_EQ(Flushed.shard(0).partition(Mixed).stats().Frees, 3u);
+  EXPECT_EQ(Flushed.shard(0).partition(Mixed).stats().IgnoredFrees, 1u);
+  EXPECT_EQ(Flushed.shard(0).partition(Small).stats().IgnoredFrees, 1u);
+  EXPECT_EQ(Flushed.shard(1).partition(Mixed).remoteFrees(), 4u);
+  EXPECT_EQ(Flushed.shard(1).partition(Mixed).remoteFreeRejects(), 1u);
+  EXPECT_EQ(Flushed.shard(2).partition(Mixed).remoteFrees(), 3u);
+
+  // Draining the sidecars must keep the heaps in step: each chain holds
+  // the same entries in the same order.
+  EXPECT_EQ(Flushed.drainRemoteFrees(), 7u);
+  EXPECT_EQ(Looped.drainRemoteFrees(), 7u);
+  expectSamePartitions(Flushed, Looped);
 }
 
 TEST(ShardedHeapTest, ConsecutiveThreadsCoverEveryShard) {

@@ -176,6 +176,43 @@ TEST(ThreadCacheTest, FullDeferredBufferFlushesAutomatically) {
   EXPECT_EQ(S.Allocations, S.Frees);
 }
 
+TEST(ThreadCacheTest, FlushPeriodCountsFreesAcrossAllClasses) {
+  // The deferred buffer parks each free in its class's own segment, but
+  // the flush trigger is the buffer's total: 2K frees park whether they
+  // share one class or spread over all twelve, and the (2K+1)-th free
+  // flushes exactly once.
+  for (bool OneClass : {true, false}) {
+    SCOPED_TRACE(OneClass ? "one class" : "all twelve classes");
+    ShardedHeap H(cachedOptions(16)); // Deferred capacity = 32.
+    std::vector<void *> Held;
+    for (int I = 0; I < 33; ++I) {
+      int Class = OneClass ? 3 : I % SizeClass::NumClasses;
+      Held.push_back(H.allocate(SizeClass::classToSize(Class)));
+      ASSERT_NE(Held.back(), nullptr);
+    }
+    auto partitionFrees = [&] {
+      uint64_t Frees = 0;
+      for (int C = 0; C < SizeClass::NumClasses; ++C)
+        Frees += H.shard(0).partition(C).stats().Frees;
+      return Frees;
+    };
+    const uint64_t Flushes = H.stats().CacheFlushes;
+    for (int I = 0; I < 32; ++I)
+      H.deallocate(Held[I]);
+    EXPECT_EQ(H.stats().CacheFlushes, Flushes) << "2K frees all park";
+    EXPECT_EQ(partitionFrees(), 0u);
+
+    H.deallocate(Held[32]);
+    EXPECT_EQ(H.stats().CacheFlushes, Flushes + 1);
+    EXPECT_EQ(partitionFrees(), 32u) << "the flush returned the first 2K";
+    EXPECT_EQ(H.stats().Frees, 33u) << "the 2K+1-th is parked";
+
+    H.flushThreadCache();
+    EXPECT_EQ(partitionFrees(), 33u);
+    EXPECT_EQ(H.bytesLive(), 0u);
+  }
+}
+
 TEST(ThreadCacheTest, DoubleFreeThroughDeferredBufferIsIgnoredAtFlush) {
   ShardedHeap H(cachedOptions(16));
   void *P = H.allocate(64);

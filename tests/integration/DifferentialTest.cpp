@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 namespace diehard {
@@ -187,6 +188,13 @@ struct DifferentialCase {
   std::function<std::unique_ptr<Allocator>()> Make;
   size_t MaxSize;
 };
+
+/// Prints a case as its name. GoogleTest's fallback dumps the raw bytes,
+/// which include std::function's pointers, so the listed names of the
+/// parameterized tests would change with every process's address layout.
+void PrintTo(const DifferentialCase &Case, std::ostream *OS) {
+  *OS << Case.Name;
+}
 
 class AllocatorDifferential
     : public ::testing::TestWithParam<DifferentialCase> {};
